@@ -26,6 +26,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import HDLError
 from repro.benchmarks import get_benchmark
@@ -54,12 +55,13 @@ from repro.hdl.netlist import (
     Register,
     refs_of,
 )
-from repro.hdl.netsim import NetlistSimulator, _compile
+from repro.hdl.netsim import NetlistSimulator, _expr_source
 from repro.library import default_library
 from repro.rtl import build_architecture
 from repro.sched import wavesched
 from repro.sched.engine import ScheduleOptions
 from repro.sim.stimulus import random_stimulus
+from repro.utils.bitwidth import wrap_to_width
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -73,11 +75,77 @@ def _bench_arch(name):
     return cdfg, dp.arch
 
 
+# A direct reading of the IR semantics, for the generated code to match.
+_REF_OPS = {
+    "add": lambda a, b: wrap_to_width(a + b, 64),
+    "sub": lambda a, b: wrap_to_width(a - b, 64),
+    "mul": lambda a, b: wrap_to_width(a * b, 64),
+    "shl": lambda a, b: wrap_to_width(a << (b & 63), 64),
+    "shr": lambda a, b: a >> (b & 63),
+    "lt": lambda a, b: int(a < b), "gt": lambda a, b: int(a > b),
+    "le": lambda a, b: int(a <= b), "ge": lambda a, b: int(a >= b),
+    "eq": lambda a, b: int(a == b), "ne": lambda a, b: int(a != b),
+    "land": lambda a, b: int(bool(a) and bool(b)),
+    "lor": lambda a, b: int(bool(a) or bool(b)),
+    "band": lambda a, b: a & b, "bor": lambda a, b: a | b,
+    "bxor": lambda a, b: a ^ b,
+}
+
+
+def _reference(expr, env):
+    """The netlist.py docstrings, read one node at a time."""
+    if isinstance(expr, EConst):
+        return expr.value
+    if isinstance(expr, ERef):
+        return env[expr.name]
+    if isinstance(expr, EWrap):
+        value = _reference(expr.expr, env)
+        return (wrap_to_width(value, expr.width) if expr.signed
+                else value & ((1 << expr.width) - 1))
+    if isinstance(expr, EMux):
+        return _reference(expr.a if _reference(expr.cond, env) else expr.b, env)
+    if isinstance(expr, ECase):
+        subject = _reference(expr.subject, env)
+        arm = next((arm for codes, arm in expr.arms if subject in codes),
+                   expr.default)
+        return _reference(arm, env)
+    if expr.op == "lnot":
+        return int(not _reference(expr.args[0], env))
+    a, b = (_reference(arg, env) for arg in expr.args)
+    return _REF_OPS[expr.op](a, b)
+
+
+_WORDS = st.one_of(st.integers(-4, 8), st.sampled_from(
+    [(1 << 63) - 1, -(1 << 63), (1 << 62) + 1, 63, 64, -64, 255]))
+_LEAVES = st.one_of(_WORDS.map(EConst),
+                    st.sampled_from([ERef("a"), ERef("b"), ERef("c")]))
+
+
+def _extend(children):
+    binary = st.builds(lambda op, a, b: EOp(op, (a, b)),
+                       st.sampled_from(sorted(_REF_OPS)), children, children)
+    case = st.builds(
+        lambda subject, arms, default: ECase(subject, tuple(arms), default),
+        st.sampled_from([ERef("a"), ERef("c")]),
+        st.lists(st.tuples(st.lists(st.integers(-2, 9),
+                                    max_size=3).map(tuple), children),
+                 min_size=1, max_size=8),
+        children)
+    return st.one_of(
+        binary, case,
+        st.builds(lambda a: EOp("lnot", (a,)), children),
+        st.builds(EMux, children, children, children),
+        st.builds(EWrap, children, st.integers(1, 64), st.booleans()))
+
+
 class TestExpressionSemantics:
-    """The IR's compiled evaluation implements signed word semantics."""
+    """The generated evaluation implements signed word semantics."""
 
     def _eval(self, expr, env=None):
-        return _compile(expr)(env or {})
+        env = env or {}
+        source = _expr_source(expr, {name: f"env[{name!r}]" for name in env},
+                              {})
+        return eval(source, {"env": env})
 
     def test_wrap_signed_narrows(self):
         assert self._eval(EWrap(EConst(130), 8, True)) == -126
@@ -107,6 +175,59 @@ class TestExpressionSemantics:
         assert self._eval(case, {"s": 1}) == 5
         assert self._eval(case, {"s": 2}) == 6
         assert self._eval(case, {"s": 3}) == 7
+
+    def test_case_first_matching_arm_wins(self):
+        case = ECase(ERef("s"), (((1,), EConst(10)), ((1, 2), EConst(20))),
+                     EConst(0))
+        assert self._eval(case, {"s": 1}) == 10
+        assert self._eval(case, {"s": 2}) == 20
+        assert self._eval(case, {"s": 3}) == 0
+
+    def test_wide_case_matches_first_arm_semantics(self):
+        # Overlapping later arms lose; an arm with no codes never matches.
+        arms = tuple(((k, k + 10), EConst(100 + k)) for k in range(9))
+        arms += (((3, 7, 30), EConst(-1)), ((), EConst(-2)))
+        case = ECase(ERef("s"), arms, EConst(-5))
+        for s in range(-2, 32):
+            expected = next((value.value for codes, value in arms
+                             if s in codes), -5)
+            assert self._eval(case, {"s": s}) == expected, s
+
+    def test_shift_amount_is_masked_to_63(self):
+        one = EConst(1)
+        assert self._eval(EOp("shl", (one, EConst(64)))) == 1
+        assert self._eval(EOp("shl", (one, EConst(127)))) == -(1 << 63)
+        assert self._eval(EOp("shl", (EConst(3), EConst(63)))) == -(1 << 63)
+        assert self._eval(EOp("shr", (EConst(1 << 40), EConst(64 + 40)))) == 1
+
+    def test_negative_shr_is_arithmetic(self):
+        assert self._eval(EOp("shr", (EConst(-8), EConst(1)))) == -4
+        assert self._eval(EOp("shr", (EConst(-1), EConst(63)))) == -1
+        # A negative amount is masked too: -1 & 63 == 63.
+        assert self._eval(EOp("shr", (EConst(-8), EConst(-1)))) == -1
+
+    def test_word_overflow_wraps(self):
+        top = (1 << 63) - 1
+        assert self._eval(EOp("mul", (EConst(top), EConst(2)))) == -2
+        assert self._eval(EOp("mul", (EConst(1 << 32), EConst(1 << 32)))) == 0
+        assert self._eval(EOp("add", (EConst(top), EConst(1)))) == -(1 << 63)
+        assert self._eval(EOp("sub", (EConst(-(1 << 63)), EConst(1)))) == top
+
+    def test_signed_wrap_at_widths_1_and_64(self):
+        assert self._eval(EWrap(EConst(1), 1, True)) == -1
+        assert self._eval(EWrap(EConst(2), 1, True)) == 0
+        assert self._eval(EWrap(EConst(-1), 1, False)) == 1
+        assert self._eval(EWrap(EConst(1 << 63), 64, True)) == -(1 << 63)
+        assert self._eval(EWrap(EConst((1 << 64) - 1), 64, True)) == -1
+        assert self._eval(EWrap(EConst(-1), 64, False)) == (1 << 64) - 1
+        assert self._eval(EWrap(EConst(1 << 64), 64, True)) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=st.recursive(_LEAVES, _extend, max_leaves=24),
+           env=st.fixed_dictionaries({name: st.integers(-3, 10) | _WORDS
+                                      for name in "abc"}))
+    def test_matches_reference_semantics(self, expr, env):
+        assert self._eval(expr, env) == _reference(expr, env)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(HDLError):

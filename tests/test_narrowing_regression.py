@@ -20,7 +20,7 @@ from repro.lang import parse
 from repro.rtl.builder import copy_is_transparent
 from repro.sched.engine import ScheduleOptions
 
-REPRO = Path(__file__).parent.parent / "results" / "fuzz_repro_dbbb3103d434.src"
+REPRO = Path(__file__).parent / "regressions" / "narrowing_dbbb3103d434.src"
 
 
 def test_reproducer_file_is_committed():
