@@ -20,7 +20,7 @@ to the checked-in trajectory ``BENCH_pareto.json``; the CI gate
 median of recent matching records — a search-quality regression, caught
 the same way ``check_perf.py`` catches wall-time regressions.
 
-The frontier is deterministic for any shard or steal-worker count (the
+The frontier is deterministic for any steal-worker count (the
 determinism tests enforce bit-identity), so these metrics are stable
 across machines; wall time is the only machine-dependent column.
 Results land in ``results/pareto.txt`` and ``results/pareto.json``.

@@ -63,14 +63,6 @@ class BlockRegion(Region):
     def append_region(self, region_id: int) -> None:
         self.items.append(SubRegionItem(region_id))
 
-    def all_nodes(self) -> list[int]:
-        """Node ids directly in this block (not in nested regions)."""
-        out: list[int] = []
-        for item in self.items:
-            if isinstance(item, OpsItem):
-                out.extend(item.nodes)
-        return out
-
 
 @dataclass
 class IfRegion(Region):
@@ -111,9 +103,3 @@ class LoopRegion(Region):
     elp_nodes: list[int] = field(default_factory=list)
     carried: list[CarriedVar] = field(default_factory=list)
     loop_kind: str = "while"  # "for" or "while" (diagnostic only)
-
-    def carried_var(self, var: str) -> CarriedVar | None:
-        for cv in self.carried:
-            if cv.var == var:
-                return cv
-        return None

@@ -60,9 +60,6 @@ class MemInstance:
     def access_delay(self) -> float:
         return ram_access_delay(self.spec, self.width, self.depth)
 
-    def ports_used(self) -> set[int]:
-        return set(self.port_of.values())
-
 
 def op_width(cdfg: CDFG, node_id: int) -> int:
     """Width a functional unit must have to execute a node: max of ports."""

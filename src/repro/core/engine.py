@@ -8,18 +8,15 @@ sweeps, multi-start searches and repeated experiments stop recomputing
 identical schedules, replays and merged traces.
 
 :meth:`SynthesisEngine.run` executes one IMPACT flow (Figure 7) and is the
-single entry point behind :func:`repro.core.impact.synthesize`; it runs
-independent search starts concurrently via :mod:`concurrent.futures`.
+single entry point behind :func:`repro.core.impact.synthesize`; it searches
+from each start in turn, in start order.
 :meth:`SynthesisEngine.run_many` executes a batch of runs against the same
-shared state.  Results are bit-identical with caching or parallelism
-toggled off: every cached artifact is immutable and content-addressed, and
-start selection always happens in submission order.
+shared state.  Results are bit-identical with caching toggled off: every
+cached artifact is immutable and content-addressed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -59,8 +56,6 @@ class SynthesisResult:
     cache_stats: dict = field(default_factory=dict)
     #: Run-window per-stage timing: {stage: {"calls", "seconds",
     #: "incremental", "full"}} from :data:`repro.core.profile.PROFILER`.
-    #: Under parallel multi-start the sibling searches' windows overlap,
-    #: so per-run numbers are indicative the same way cache stats are.
     profile: dict = field(default_factory=dict)
 
     @property
@@ -116,9 +111,6 @@ class SynthesisEngine:
     store, initial:
         Optional pre-computed trace store / initial design point (e.g.
         from an earlier engine); both are lazily built when omitted.
-    max_workers:
-        Thread budget for parallel multi-start searches (defaults to the
-        CPU count, capped by the number of starts).
     """
 
     def __init__(self, cdfg: CDFG, stimulus: list[dict[str, int]], *,
@@ -128,8 +120,7 @@ class SynthesisEngine:
                  incremental: bool = True,
                  cache: SynthesisCache | None = None,
                  store: TraceStore | None = None,
-                 initial: DesignPoint | None = None,
-                 max_workers: int | None = None):
+                 initial: DesignPoint | None = None):
         self.cdfg = cdfg
         self.stimulus = stimulus
         self.library = library or default_library()
@@ -137,7 +128,6 @@ class SynthesisEngine:
         self.cache = cache if cache is not None else SynthesisCache(enabled=caching)
         self._bind_cache(cdfg=cdfg)
         self.incremental = incremental
-        self.max_workers = max_workers
         self._store = store
         if store is not None:
             self._bind_cache(trace_store=store)
@@ -200,7 +190,6 @@ class SynthesisEngine:
             search: SearchConfig | None = None,
             starts: list[DesignPoint] | None = None,
             area_cap: float | None = None,
-            parallel_starts: bool = True,
             observer=None) -> SynthesisResult:
         """Run the full IMPACT flow once (see :func:`repro.core.impact.synthesize`).
 
@@ -208,16 +197,13 @@ class SynthesisEngine:
         :class:`~repro.core.search.WeightedObjective`.  ``starts`` adds
         extra search starting points (the initial design is always
         included and always defines ``enc_min``); the search runs from
-        each — concurrently when ``parallel_starts`` — and the best final
-        design wins, with ties broken in start order regardless of
-        completion order.  Every start's evaluation count lands in the
-        returned history, including the losers'.
+        each in start order and the best final design wins, with ties
+        broken in start order.  Every start's evaluation count lands in
+        the returned history, including the losers'.
 
         ``observer`` is forwarded to every start's
         :func:`~repro.core.search.iterative_improvement` as the archive
-        hook (called for each feasible visited design).  Pass
-        ``parallel_starts=False`` with an observer unless it is
-        thread-safe — concurrent starts would interleave their offers.
+        hook (called for each feasible visited design).
 
         Returns a :class:`SynthesisResult`.
         """
@@ -239,8 +225,9 @@ class SynthesisEngine:
             self._adopt(s) for s in (starts or [])
             if s.evaluate().legal and s.enc <= enc_budget + 1e-9
         ]
-        results = self._search_starts(start_points, mode, enc_budget, search,
-                                      area_cap, parallel_starts, observer)
+        results = [iterative_improvement(start, mode, enc_budget, search,
+                                         area_cap=area_cap, observer=observer)
+                   for start in start_points]
 
         best_design: DesignPoint | None = None
         best_history: SearchHistory | None = None
@@ -267,48 +254,14 @@ class SynthesisEngine:
             profile=PROFILER.window(profile_window),
         )
 
-    def _search_starts(self, start_points, mode, enc_budget, search, area_cap,
-                       parallel, observer=None):
-        """One iterative-improvement search per start, results in start order."""
-        if parallel and len(start_points) > 1:
-            workers = self.max_workers or os.cpu_count() or 2
-            workers = max(1, min(workers, len(start_points)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(iterative_improvement, start, mode, enc_budget,
-                                search, area_cap=area_cap, observer=observer)
-                    for start in start_points
-                ]
-                return [future.result() for future in futures]
-        return [iterative_improvement(start, mode, enc_budget, search,
-                                      area_cap=area_cap, observer=observer)
-                for start in start_points]
-
-    def run_many(self, runs: Iterable[Mapping], *,
-                 parallel: bool = False) -> list[SynthesisResult]:
+    def run_many(self, runs: Iterable[Mapping]) -> list[SynthesisResult]:
         """Execute a batch of :meth:`run` calls against the shared state.
 
-        Each element of ``runs`` is a kwargs mapping for :meth:`run`.
-        Sequential by default (later runs then reuse everything earlier
-        ones cached); ``parallel=True`` dispatches independent runs to a
-        thread pool — correct for runs that do not feed each other's
-        ``starts``, since the caches are content-addressed and
-        thread-safe.
+        Each element of ``runs`` is a kwargs mapping for :meth:`run`; runs
+        execute in order, so later runs reuse everything earlier ones
+        cached.
         """
-        specs = [dict(spec) for spec in runs]
-        self.initial  # materialize shared state once, outside any pool
-        if parallel and len(specs) > 1:
-            workers = self.max_workers or os.cpu_count() or 2
-            workers = max(1, min(workers, len(specs)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # Nested pools would deadlock a small worker budget; each
-                # run's starts stay sequential inside its worker thread.
-                futures = [
-                    pool.submit(self.run, **{**spec, "parallel_starts": False})
-                    for spec in specs
-                ]
-                return [future.result() for future in futures]
-        return [self.run(**spec) for spec in specs]
+        return [self.run(**spec) for spec in runs]
 
     def cache_stats(self) -> dict:
         """Lifetime hit/miss counters of the engine's memo tables."""

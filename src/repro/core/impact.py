@@ -48,7 +48,6 @@ def synthesize(
     starts: list[DesignPoint] | None = None,
     area_cap: float | None = None,
     caching: bool = True,
-    parallel_starts: bool = False,
 ) -> SynthesisResult:
     """Run the full IMPACT flow on a CDFG.
 
@@ -61,10 +60,9 @@ def synthesize(
     always included as a starting point.
 
     ``caching`` toggles the content-addressed pipeline memo tables
-    (bit-identical results either way); ``parallel_starts`` runs the extra
-    starting points' searches on a thread pool.
+    (bit-identical results either way).
     """
     engine = SynthesisEngine(cdfg, stimulus, library=library, options=options,
                              caching=caching, store=store, initial=initial)
     return engine.run(mode=mode, laxity=laxity, search=search, starts=starts,
-                      area_cap=area_cap, parallel_starts=parallel_starts)
+                      area_cap=area_cap)

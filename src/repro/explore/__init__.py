@@ -1,9 +1,9 @@
 """Multi-objective design-space exploration on top of the IMPACT flow.
 
-``explore()`` spreads a grid of (objective x laxity x seed) synthesis
-searches across processes — statically sharded (``shards=N``) or
-work-stealing over a shared job queue (``steal=N``, with checkpointing
-and warm-starts through the artifact store) — feeds every feasible
+``explore()`` runs a grid of (objective x laxity x seed) synthesis
+searches — in-process by default, or across ``steal=N`` worker
+processes that steal jobs from a shared queue (with checkpointing and
+warm-starts through the artifact store) — feeds every feasible
 visited design into a Pareto archive, and merges the per-job archives
 into one deterministic (area, power, latency) frontier;
 ``verify_frontier()`` conformance-checks the design behind every

@@ -9,14 +9,16 @@ scalarizations) and search seeds — runs each through a
 :class:`~repro.explore.pareto.ParetoFront`, not just the winner), and
 merges the per-job fronts into one global frontier.
 
-Sharding: ``shards=N`` partitions the job grid round-robin across N
-worker *processes*; each worker owns one engine, so the jobs of a shard
-share its content-addressed pipeline caches the way a sequential run
-would.  Because every job is independently deterministic (cached and
-uncached evaluation are bit-identical by construction) and the merge
-always happens in job-index order, **the frontier is bit-identical for
-any shard count** — the determinism test in
-``tests/test_explore_driver.py`` enforces 1 vs N equality.
+Workers: by default the jobs run in-process on one engine, in grid
+order.  ``steal=N`` runs them on N worker *processes* that take the next
+pending job when idle (:mod:`repro.explore.steal`); each worker owns one
+engine, so the jobs it runs share its content-addressed pipeline caches
+the way a sequential run would.  Because every job is independently
+deterministic (cached and uncached evaluation are bit-identical by
+construction) and the merge always happens in job-index order, **the
+frontier is bit-identical for any worker count** — the determinism
+tests in ``tests/test_explore_driver.py`` and
+``tests/test_explore_steal.py`` enforce it.
 
 :func:`verify_frontier` closes the loop: it re-derives the design behind
 every frontier point (same job, same seed — the search replays exactly)
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.benchmarks.registry import get_benchmark
@@ -71,8 +72,8 @@ class ExploreResult:
     config and the stimulus parameters are recorded so
     :func:`verify_frontier` can replay the exact searches that produced
     the frontier — callers never re-supply them (a mismatched re-supply
-    would silently verify the wrong designs).  A 1-shard run
-    additionally retains its engine and the frontier designs in-process
+    would silently verify the wrong designs).  An in-process run
+    additionally retains its engine and the frontier designs
     (``_engine``/``_designs``), letting verification skip the replay
     entirely.
     """
@@ -80,7 +81,6 @@ class ExploreResult:
     benchmark: str
     front: ParetoFront
     jobs: list[dict] = field(default_factory=list)
-    shards: int = 1
     n_passes: int = 0
     stimulus_seed: int = 0
     wall_time_s: float = 0.0
@@ -89,16 +89,16 @@ class ExploreResult:
     seeds: tuple = (0,)
     search: SearchConfig = field(default_factory=SearchConfig)
     #: Work-stealing accounting (``steal=N`` runs; zero otherwise).
-    #: ``steal_log`` is (job index, worker id) in claim order — feed its
+    #: ``steal_log`` is (job index, slot) in dispatch order — feed its
     #: completed subset back as ``steal_plan`` to replay the schedule.
     steal_workers: int = 0
     steal_log: list = field(default_factory=list)
     warm_hits: int = 0
     #: Frontier hypervolume after each job's merge, in job-index order —
     #: the search-quality-over-time curve the benchmark gate tracks.
-    #: Identical for any shard/steal topology (the merge order is fixed).
+    #: Identical for any worker count (the merge order is fixed).
     hv_trace: list = field(default_factory=list)
-    #: In-process design retention (1-shard runs only): engine plus
+    #: In-process design retention (``steal=0`` runs only): engine plus
     #: {(job index, offer order): DesignPoint} for the frontier points.
     _engine: object = field(default=None, repr=False, compare=False)
     _designs: dict = field(default=None, repr=False, compare=False)
@@ -122,7 +122,6 @@ class ExploreResult:
         return {
             "benchmark": self.benchmark,
             "jobs": len(self.jobs),
-            "shards": self.shards,
             "n_passes": self.n_passes,
             "stimulus_seed": self.stimulus_seed,
             "evaluations": self.evaluations,
@@ -137,7 +136,6 @@ class ExploreResult:
 
 def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
                          caching: bool = True,
-                         max_workers: int | None = None,
                          store_dir=None,
                          cache_entries: int | None = None) -> SynthesisEngine:
     """Build a ready-to-run engine for a registry benchmark.
@@ -161,8 +159,7 @@ def engine_for_benchmark(name: str, *, n_passes: int = 20, seed: int = 7,
         bench.cdfg(), bench.stimulus(n_passes, seed=seed),
         options=ScheduleOptions(clock_ns=bench.clock_ns),
         cache=attached_cache(caching=caching, store_dir=store_dir,
-                             max_entries=cache_entries),
-        max_workers=max_workers)
+                             max_entries=cache_entries))
 
 
 def _resolve_mode(engine: SynthesisEngine, job: ExploreJob):
@@ -209,7 +206,7 @@ def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
     result = engine.run(
         mode=_resolve_mode(engine, job), laxity=job.laxity,
         search=dataclasses.replace(search, seed=job.seed),
-        parallel_starts=False, observer=observer)
+        observer=observer)
     stats = {
         "index": job.index,
         "objective": job.label,
@@ -223,22 +220,12 @@ def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
     return local, stats, designs
 
 
-def _run_shard(payload: dict) -> list[dict]:
-    """Process-pool worker: run a shard's jobs on one shared engine."""
-    engine = engine_for_benchmark(
-        payload["benchmark"], n_passes=payload["n_passes"],
-        seed=payload["stimulus_seed"], caching=payload["caching"],
-        store_dir=payload.get("store_dir"))
-    out = []
-    for job in payload["jobs"]:
-        local, stats, _ = _run_job(engine, job, payload["search"])
-        out.append({
-            "stats": stats,
+def _job_record(local: ParetoFront, stats: dict) -> dict:
+    """One job's plain-data result: its stats and its local front."""
+    return {"stats": stats,
             "points": [{"area": p.area, "power": p.power,
                         "latency": p.latency, "meta": dict(p.meta)}
-                       for p in local.points],
-        })
-    return out
+                       for p in local.points]}
 
 
 def make_jobs(objectives=DEFAULT_OBJECTIVES, laxities=DEFAULT_LAXITIES,
@@ -258,7 +245,6 @@ def explore(benchmark: str, *,
             objectives=DEFAULT_OBJECTIVES,
             laxities=DEFAULT_LAXITIES,
             seeds=(0,),
-            shards: int = 1,
             steal: int = 0,
             steal_plan=None,
             fault_plan=None,
@@ -274,8 +260,8 @@ def explore(benchmark: str, *,
     Parameters
     ----------
     benchmark:
-        A registry name (see ``repro.BENCHMARKS``); workers re-parse it,
-        which is what makes process sharding possible.
+        A registry name (see ``repro.BENCHMARKS``); steal workers
+        re-parse it, which is what lets them run in other processes.
     objectives:
         Mix of ``"area"``, ``"power"`` and ``(w_area, w_power, w_latency)``
         weight triples (scalarized via
@@ -283,33 +269,30 @@ def explore(benchmark: str, *,
     laxities, seeds:
         The ENC-budget grid and the search seeds; the job grid is their
         cross product with ``objectives``.
-    shards:
-        Worker processes.  ``1`` runs in-process; any value yields a
-        bit-identical frontier (jobs are independent and the merge is in
-        job order).
     steal:
-        Work-stealing worker count (see :mod:`repro.explore.steal`).
-        Nonzero replaces static sharding with a shared job queue: idle
-        workers steal the next pending cell, completed cells checkpoint
-        into the artifact store (when attached) and warm-start later
-        runs.  The frontier stays bit-identical to ``shards=1`` for any
-        worker count — the steal order is recorded on the result, not
-        baked into it.
+        Work-stealing worker processes (see :mod:`repro.explore.steal`).
+        ``0`` runs every job in-process.  Nonzero runs the jobs on a
+        shared queue: idle workers steal the next pending cell, completed
+        cells checkpoint into the artifact store (when attached) and
+        warm-start later runs.  The frontier stays bit-identical to the
+        in-process run for any worker count — the steal order is recorded
+        on the result, not baked into it.
     steal_plan:
-        A recorded steal log (``(job index, worker id)`` pairs covering
-        every job) to replay: each job is pinned to its recorded
-        worker's queue, reproducing the claim schedule exactly.
+        A recorded steal log (``(job index, slot)`` pairs covering every
+        job) to replay: each job is pinned to its recorded slot's queue,
+        reproducing the dispatch schedule exactly.
     fault_plan:
         A :class:`~repro.faults.plan.FaultPlan` injected into the pool;
-        ``kill_worker@N`` kills the first claimant of job ``N`` (the
-        retry and every other worker run clean).  Steal mode only.
+        ``kill_worker@N`` kills the worker job ``N`` is first dispatched
+        to (the retry and every other worker run clean).  Steal mode
+        only.
     n_passes, stimulus_seed:
         Profiling stimulus (shared by every job).
     search:
         Base :class:`~repro.core.search.SearchConfig`; each job replaces
         only its ``seed``.
     store_dir:
-        Artifact-store root shared by every shard (``None`` consults
+        Artifact-store root shared by every worker (``None`` consults
         ``$REPRO_STORE_DIR``; pass ``""`` to force a plain in-process
         cache).  Workers publish and reuse schedules/replays through the
         store — concurrency-safe because publication is atomic and
@@ -321,7 +304,6 @@ def explore(benchmark: str, *,
     """
     search = search or SearchConfig()
     jobs = make_jobs(objectives, laxities, seeds)
-    shards = max(1, min(shards, len(jobs)))
     t0 = time.perf_counter()
 
     engine = None
@@ -341,47 +323,24 @@ def explore(benchmark: str, *,
             },
             jobs, workers=max(1, min(steal, len(jobs))) if steal else 1,
             steal_plan=steal_plan, fault_plan=fault_plan)
-        shard_results = [[steal_outcome.results[index]
-                          for index in sorted(steal_outcome.results)]]
-    elif shards == 1:
+        by_index = steal_outcome.results
+    else:
         # In-process run: keep each job's archived designs so a later
         # verify_frontier call can skip re-running the searches.
         engine = engine_for_benchmark(benchmark, n_passes=n_passes,
                                       seed=stimulus_seed, caching=caching,
                                       store_dir=store_dir)
-        shard_results = [[]]
+        by_index = {}
         for job in jobs:
             local, stats, job_designs = _run_job(engine, job, search,
                                                  keep_designs=True)
             designs.update({(job.index, order): design
                             for order, design in job_designs.items()})
-            shard_results[0].append({
-                "stats": stats,
-                "points": [{"area": p.area, "power": p.power,
-                            "latency": p.latency, "meta": dict(p.meta)}
-                           for p in local.points],
-            })
-    else:
-        shard_payloads = [{
-            "benchmark": benchmark,
-            "n_passes": n_passes,
-            "stimulus_seed": stimulus_seed,
-            "caching": caching,
-            "store_dir": store_dir,
-            "search": search,
-            "jobs": jobs[k::shards],
-        } for k in range(shards)]
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            shard_results = list(pool.map(_run_shard, shard_payloads))
+            by_index[job.index] = _job_record(local, stats)
 
-    # Re-assemble per-job results in grid order: the merge sequence (and
-    # with it the frontier's stable tie-breaking) is then independent of
-    # how jobs were sharded.
-    by_index: dict[int, dict] = {}
-    for shard in shard_results:
-        for job_result in shard:
-            by_index[job_result["stats"]["index"]] = job_result
-
+    # Merge per-job results in grid order: the merge sequence (and with
+    # it the frontier's stable tie-breaking) is then independent of which
+    # worker ran which job.
     front = ParetoFront()
     job_stats = []
     hv_trace = []
@@ -403,7 +362,7 @@ def explore(benchmark: str, *,
         designs = {key: designs[key] for key in keep}
 
     return ExploreResult(
-        benchmark=benchmark, front=front, jobs=job_stats, shards=shards,
+        benchmark=benchmark, front=front, jobs=job_stats,
         n_passes=n_passes, stimulus_seed=stimulus_seed,
         wall_time_s=round(time.perf_counter() - t0, 3),
         objectives=tuple(objectives), laxities=tuple(laxities),
@@ -421,9 +380,9 @@ def verify_frontier(result: ExploreResult, *,
 
     The replay recipe (grid, search config, stimulus) is taken from the
     :class:`ExploreResult` itself, so the verified designs are exactly
-    the ones the frontier reports.  A 1-shard result retained its
-    designs in-process and verifies them directly; a sharded result
-    re-runs only the grid cells that own frontier points (the search is
+    the ones the frontier reports.  An in-process result retained its
+    designs and verifies them directly; a steal result re-runs only the
+    grid cells that own frontier points (the search is
     deterministic, so the re-run visits the same designs in the same
     order) and picks each point's design out by its ``meta["order"]``.
     Either way every design goes through :meth:`SynthesisEngine.verify`
@@ -460,7 +419,7 @@ def verify_frontier(result: ExploreResult, *,
     if engine is None or designs is None or any(
             (index, order) not in designs
             for index, orders in needed.items() for order in orders):
-        # Sharded (or stripped) result: re-derive by deterministic replay.
+        # Steal (or stripped) result: re-derive by deterministic replay.
         engine = engine_for_benchmark(
             result.benchmark, n_passes=result.n_passes,
             seed=result.stimulus_seed)

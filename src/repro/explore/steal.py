@@ -1,56 +1,53 @@
 """Work-stealing job pool for the exploration driver.
 
-Static round-robin sharding (``explore(shards=N)``) pre-assigns grid
-cells to workers; one slow cell (a deep search at high laxity) leaves
-its siblings idle.  This module replaces the static split with a
-**shared job queue**: N worker processes pull ("steal") the next pending
-job the moment they go idle, so the wall clock tracks the sum of job
-costs divided by N instead of the slowest pre-assigned shard.
+N worker processes on one :class:`~repro.service.pool.SupervisedPool`
+share a job queue: each pool slot takes ("steals") the next pending job
+the moment it goes idle, so the wall clock tracks the sum of job costs
+divided by N instead of the slowest pre-assigned share.
 
 Determinism is preserved by construction, not by scheduling: every job
 is independently deterministic and the driver merges per-job fronts in
-job-index order, so **the frontier is bit-identical to a 1-worker run
-no matter who stole what, or when** — including runs where a worker was
-killed mid-job and its job re-ran on a replacement.  The *steal log*
-(which worker completed which job, in claim order) is recorded on the
-result; replaying it through ``steal_plan`` pins each job to the same
-worker's queue, which reproduces the log itself as well as the frontier.
+job-index order, so **the frontier is bit-identical to an in-process
+run no matter who stole what, or when** — including runs where a worker
+was killed mid-job and its job re-ran on a replacement.  The *steal log*
+(which slot each job was dispatched to, in dispatch order) is recorded
+on the result; replaying it through ``steal_plan`` pins each job to the
+same slot's queue, which reproduces the log itself as well as the
+frontier.
 
 Checkpointing: when an artifact store is attached, each completed job's
 result is published under a content key covering the benchmark CDFG,
 stimulus parameters, search config and the job's grid cell.  A later
-run over any overlapping grid — same benchmark, a different shard/steal
-topology, or a *different* benchmark whose registry entry compiles to
-the same CDFG — warm-starts from the stored per-job results instead of
+run over any overlapping grid — same benchmark, a different worker
+count, or a *different* benchmark whose registry entry compiles to the
+same CDFG — warm-starts from the stored per-job results instead of
 re-searching.  Warm hits are counted on the result but never change it:
 stored results are the bytes the search would recompute.
 
-Fault injection: a :class:`~repro.faults.plan.FaultPlan` rides along the
-job messages.  ``kill_worker@N`` hard-kills the worker that first claims
-job ``N`` (the fault is consumed at first enqueue, so the re-enqueued
-attempt and any replacement worker run clean).  Other plan kinds are
-service-core faults and are ignored here.
+Fault injection: a :class:`~repro.faults.plan.FaultPlan`'s
+``kill_worker@N`` rides along with the first dispatch of job ``N`` and
+fires through :func:`repro.faults.activate`, the seam service jobs use:
+the worker SIGKILLs itself, the pool reports :class:`WorkerCrash` and
+replaces the process, and the job goes back in the queue clean.  Other
+plan kinds are service-core faults and are ignored here.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
-import queue as queue_mod
+from collections import deque
 from dataclasses import dataclass, field
-
-#: Poll interval for the supervision loop (liveness checks only; results
-#: themselves arrive through a blocking queue get).
-_POLL_S = 0.2
 
 
 @dataclass
 class StealOutcome:
     """What the pool hands back to the driver."""
 
-    #: job index -> {"stats": ..., "points": ...} (the ``_run_shard`` shape).
+    #: job index -> {"stats": ..., "points": ...} (see ``_job_record``).
     results: dict[int, dict] = field(default_factory=dict)
-    #: (job index, worker id) in claim-arrival order, completed attempts
-    #: marked by membership in ``results`` (killed attempts appear too).
+    #: (job index, slot) in dispatch order, completed attempts marked by
+    #: membership in ``results`` (killed attempts appear too).
     log: list[tuple[int, int]] = field(default_factory=list)
     #: Jobs served from the artifact store's explore checkpoints.
     warm_hits: int = 0
@@ -65,8 +62,8 @@ def job_checkpoint_key(cdfg_digest: str, job, search, n_passes: int,
     Covers everything the job's outcome is a function of — the compiled
     benchmark (by content digest, so renamed registry entries that parse
     to the same CDFG share checkpoints), the stimulus draw, the search
-    config and the cell's objective/laxity/seed.  Worker count, steal
-    order and shard topology are deliberately absent.
+    config and the cell's objective/laxity/seed.  Worker count and steal
+    order are deliberately absent.
     """
     from repro.store import digest_key
 
@@ -76,127 +73,96 @@ def job_checkpoint_key(cdfg_digest: str, job, search, n_passes: int,
     ))
 
 
-def _flush_and_die(result_queue) -> None:
-    """Simulate SIGKILL after flushing queued messages.
+def _run_task(state: dict, task):
+    """Run one dispatched job in a steal worker; returns (record, warm).
 
-    ``os._exit`` skips every finally/atexit, like a real kill, but the
-    queue's feeder thread must drain first or the claim message that
-    *triggered* the kill could be lost and the parent would never learn
-    the job was consumed.
-    """
-    result_queue.close()
-    result_queue.join_thread()
-    os._exit(1)
-
-
-def _worker_main(worker_id: int, payload: dict, job_queue,
-                 result_queue) -> None:
-    """One pool worker: claim jobs until the ``None`` sentinel.
-
-    The engine (and its caches) is built once and shared by every job
-    this worker steals — the same locality a static shard enjoys.
+    ``state`` is the worker's own: the engine (and its caches) is built
+    on the first job and shared by every job this worker steals.
     Checkpoint lookups go straight to the artifact store; the job runs
     only on a miss, and publishes its result for the next run.
     """
-    from repro.explore.driver import _run_job, engine_for_benchmark
-    from repro.store import cdfg_digest, open_store
+    from repro.explore.driver import _job_record, _run_job, engine_for_benchmark
+    from repro.faults import activate
+    from repro.store import STORE_DIR_ENV, cdfg_digest, open_store
 
-    engine = None
-    store = None
-    digest = None
-    while True:
-        message = job_queue.get()
-        if message is None:
-            break
-        index, faults = message
-        result_queue.put(("claim", worker_id, index))
-        if any(f["kind"] == "kill_worker" for f in faults):
-            _flush_and_die(result_queue)
-        if engine is None:
+    payload, job, faults = task
+    with activate(faults):
+        if not state:
             engine = engine_for_benchmark(
                 payload["benchmark"], n_passes=payload["n_passes"],
                 seed=payload["stimulus_seed"], caching=payload["caching"],
                 store_dir=payload["store_dir"])
-            digest = cdfg_digest(engine.cdfg)
             store_root = payload["store_dir"]
             if store_root is None:
-                from repro.store import STORE_DIR_ENV
                 store_root = os.environ.get(STORE_DIR_ENV)
-            if store_root:
-                store = open_store(store_root)
-        job = payload["jobs"][index]
-        key = job_checkpoint_key(digest, job, payload["search"],
-                                 payload["n_passes"],
-                                 payload["stimulus_seed"])
-        warm = False
-        job_result = store.get("explore", key) if store is not None else None
-        if job_result is not None:
-            warm = True
-        else:
-            local, stats, _ = _run_job(engine, job, payload["search"])
-            job_result = {
-                "stats": stats,
-                "points": [{"area": p.area, "power": p.power,
-                            "latency": p.latency, "meta": dict(p.meta)}
-                           for p in local.points],
-            }
-            if store is not None:
-                store.put_json("explore", key, job_result)
-        result_queue.put(("done", worker_id, index, job_result, warm))
+            state.update(engine=engine, digest=cdfg_digest(engine.cdfg),
+                         store=open_store(store_root) if store_root else None)
+        store = state["store"]
+        key = job_checkpoint_key(state["digest"], job, payload["search"],
+                                 payload["n_passes"], payload["stimulus_seed"])
+        record = store.get("explore", key) if store is not None else None
+        if record is not None:
+            return record, True
+        local, stats, _ = _run_job(state["engine"], job, payload["search"])
+        record = _job_record(local, stats)
+        if store is not None:
+            store.put_json("explore", key, record)
+        return record, False
+
+
+def _worker_main(conn) -> None:
+    """One steal worker process: serve dispatched jobs until the sentinel.
+
+    Every task of one pool carries the same engine recipe, so the engine
+    is built once per worker.
+    """
+    from repro.service.pool import serve
+
+    state: dict = {}
+    serve(conn, lambda task: _run_task(state, task))
 
 
 def run_stolen(payload: dict, jobs, *, workers: int, steal_plan=None,
-               fault_plan=None, mp_context=None) -> StealOutcome:
+               fault_plan=None) -> StealOutcome:
     """Run the grid through a work-stealing pool; returns all job results.
 
     ``payload`` is the engine recipe (benchmark / stimulus / caching /
     store_dir / search) shared by every worker; ``jobs`` the full grid.
 
-    Scheduling: by default all jobs go into one shared queue in index
-    order and ``workers`` processes race to claim them.  With
-    ``steal_plan`` (a recorded ``StealOutcome.log``, completed attempts
-    only) each job is enqueued to its recorded worker's private queue
-    instead, replaying the claim assignment exactly.
+    Scheduling: by default all jobs wait in one shared queue in index
+    order and each of the ``workers`` pool slots takes the next pending
+    job when it goes idle.  With ``steal_plan`` (a recorded
+    ``StealOutcome.log``, completed attempts only) each job is queued
+    for its recorded slot alone, replaying the assignment exactly.
 
-    Supervision: a worker that dies mid-job (fault injection, OOM kill)
-    is detected by liveness polling; its claimed-but-unfinished jobs are
-    re-enqueued **clean** (worker faults are consumed at first enqueue)
-    and a replacement worker is spawned on the same queue.  Duplicate
-    completions — possible when a death makes the parent conservatively
-    re-enqueue — are dropped on arrival; jobs are deterministic, so
-    either copy carries the same bytes.
+    Supervision is the pool's: a worker that dies mid-job (fault
+    injection, OOM kill) surfaces as :class:`WorkerCrash`, the pool
+    replaces the process, and the job goes back in the queue clean
+    (worker faults are consumed at first dispatch).  A job that raises
+    fails the whole run with :class:`~repro.errors.ExperimentError`.
     """
-    import multiprocessing as mp
-
-    ctx = mp_context or mp.get_context()
-    payload = dict(payload, jobs={job.index: job for job in jobs})
-    result_queue = ctx.Queue()
+    from repro.errors import ExperimentError
+    from repro.service.errors import WorkerCrash
+    from repro.service.pool import SupervisedPool
 
     if steal_plan:
-        plan = [(int(index), int(worker)) for index, worker in steal_plan]
+        plan = [(int(index), int(slot)) for index, slot in steal_plan]
         planned = {index for index, _ in plan}
         missing = [job.index for job in jobs if job.index not in planned]
         if missing:
             raise ValueError(
                 f"steal plan does not cover jobs {missing}; replay one "
                 f"recorded log entry per job")
-        worker_ids = sorted({worker for _, worker in plan})
-        queues = {worker: ctx.Queue() for worker in worker_ids}
+        slot_ids = sorted({slot for _, slot in plan})
+        queues = [deque(index for index, slot in plan if slot == slot_id)
+                  for slot_id in slot_ids]
     else:
-        shared = ctx.Queue()
-        worker_ids = list(range(max(1, workers)))
-        queues = {worker: shared for worker in worker_ids}
+        slot_ids = list(range(max(1, workers)))
+        shared = deque(job.index for job in jobs)
+        queues = [shared] * len(slot_ids)
 
-    def spawn(worker_id: int):
-        process = ctx.Process(target=_worker_main,
-                              args=(worker_id, payload, queues[worker_id],
-                                    result_queue),
-                              daemon=True)
-        process.start()
-        return process
-
-    outcome = StealOutcome()
-    fire = {}  # job index -> [fault payloads], consumed at first enqueue
+    by_index = {job.index: job for job in jobs}
+    fire = {}  # job index -> [fault payloads], consumed at first dispatch
     if fault_plan is not None:
         for job in jobs:
             faults = [f for f in fault_plan.take_worker_faults(job.index)
@@ -204,67 +170,41 @@ def run_stolen(payload: dict, jobs, *, workers: int, steal_plan=None,
             if faults:
                 fire[job.index] = faults
 
-    def enqueue(index: int, worker_id: int) -> None:
-        queues[worker_id].put((index, fire.pop(index, [])))
+    outcome = StealOutcome()
+    pool = SupervisedPool(len(slot_ids), main=_worker_main)
 
-    if steal_plan:
-        for index, worker in plan:
-            enqueue(index, worker)
-    else:
-        for job in jobs:
-            enqueue(job.index, worker_ids[0])  # shared queue: id moot
-
-    processes = {worker: spawn(worker) for worker in worker_ids}
-    outcome.workers = len(processes)
-    pending = {job.index for job in jobs}
-    claimed: dict[int, int] = {}  # job index -> last claiming worker
-
-    def reap() -> None:
-        """Re-enqueue the dead's unfinished claims; spawn replacements."""
-        for worker, process in list(processes.items()):
-            if process.is_alive():
+    async def consume(slot: int) -> None:
+        pending = queues[slot]
+        while pending:
+            index = pending.popleft()
+            outcome.log.append((index, slot_ids[slot]))
+            task = (payload, by_index[index], fire.pop(index, []))
+            try:
+                status, reply = await pool.run(slot, task)
+            except WorkerCrash:
+                pending.appendleft(index)
                 continue
-            process.join()
-            del processes[worker]
-            replacement = max(list(processes) + [worker]) + 1
-            queues[replacement] = queues[worker]
-            orphans = [index for index, who in claimed.items()
-                       if who == worker and index in pending]
-            for index in orphans:
-                claimed.pop(index, None)
-                enqueue(index, replacement)
-            processes[replacement] = spawn(replacement)
-            outcome.workers += 1
-
-    while pending:
-        try:
-            message = result_queue.get(timeout=_POLL_S)
-        except queue_mod.Empty:
-            reap()
-            continue
-        if message[0] == "claim":
-            _, worker, index = message
-            outcome.log.append((index, worker))
-            claimed[index] = worker
-        else:
-            _, worker, index, job_result, warm = message
-            if index not in pending:
-                continue  # duplicate re-run after a conservative re-enqueue
-            pending.discard(index)
-            outcome.results[index] = job_result
+            if status != "ok":
+                type_name, message, _ = reply
+                raise ExperimentError(
+                    f"explore job {index} failed in a steal worker: "
+                    f"{type_name}: {message}")
+            outcome.results[index], warm = reply
             outcome.warm_hits += int(warm)
 
-    for worker in processes:
-        queues[worker].put(None)
-    for process in processes.values():
-        process.join(timeout=10)
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.terminate()
+    async def consume_all() -> None:
+        await asyncio.gather(*(consume(slot) for slot in range(len(slot_ids))))
+
+    try:
+        asyncio.run(consume_all())
+    finally:
+        pool.shutdown()
+    outcome.workers = len(slot_ids) + pool.restarts
     return outcome
 
 
 def completed_log(outcome: StealOutcome) -> list[tuple[int, int]]:
-    """The replayable subset of a steal log: last claim per finished job.
+    """The replayable subset of a steal log: last dispatch per finished job.
 
     Killed attempts stay in ``outcome.log`` for forensics but cannot be
     replayed (replay runs clean); the surviving attempt can.

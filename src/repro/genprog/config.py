@@ -11,7 +11,7 @@ on that to make failures reproducible from a single integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 
@@ -103,6 +103,3 @@ class GenConfig:
                     f"GenConfig: array size {size} is not a power of two "
                     f"in [2, 1024]")
         return self
-
-    def with_seed(self, seed: int) -> "GenConfig":
-        return replace(self, seed=seed)

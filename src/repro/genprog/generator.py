@@ -121,12 +121,6 @@ class _Scope:
     def child(self) -> "_Scope":
         return _Scope(list(self.readable), list(self.assignable))
 
-    def type_of(self, name: str) -> ast.Type:
-        for var, vtype in self.readable:
-            if var == name:
-                return vtype
-        raise KeyError(name)
-
 
 class _Generator:
     def __init__(self, config: GenConfig, name: str):

@@ -8,7 +8,7 @@ conditionals, ``for``/``while`` loops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -208,23 +208,6 @@ def used_names(expr: Expr) -> set[str]:
     return set()
 
 
-def array_names(body: tuple[Stmt, ...]) -> set[str]:
-    """Names declared as arrays anywhere inside ``body``."""
-    return {stmt.name for stmt in walk_statements(body)
-            if isinstance(stmt, ArrayDecl)}
-
-
-def uses_arrays(body: tuple[Stmt, ...]) -> bool:
-    """True when ``body`` declares or accesses any array."""
-    for stmt in walk_statements(body):
-        if isinstance(stmt, (ArrayDecl, ArrayAssign)):
-            return True
-        for expr in exprs_of(stmt):
-            if _expr_uses_index(expr):
-                return True
-    return False
-
-
 def exprs_of(stmt: Stmt):
     """Top-level expressions of one statement (non-recursive)."""
     if isinstance(stmt, VarDecl):
@@ -237,13 +220,3 @@ def exprs_of(stmt: Stmt):
         yield stmt.value
     elif isinstance(stmt, (If, For, While)):
         yield stmt.cond
-
-
-def _expr_uses_index(expr: Expr) -> bool:
-    if isinstance(expr, IndexExpr):
-        return True
-    if isinstance(expr, UnaryOp):
-        return _expr_uses_index(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return _expr_uses_index(expr.left) or _expr_uses_index(expr.right)
-    return False

@@ -42,12 +42,7 @@ def classify_exception(exc: BaseException) -> str:
     synthesis exceptions — is deterministic: the job would fail the same
     way again.
     """
-    try:
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover - stdlib always has it
-        BrokenProcessPool = ()
-    transient = (WorkerCrash, JobTimeoutError, TimeoutError, OSError,
-                 BrokenProcessPool)
+    transient = (WorkerCrash, JobTimeoutError, TimeoutError, OSError)
     return CLASS_TRANSIENT if isinstance(exc, transient) \
         else CLASS_DETERMINISTIC
 

@@ -125,12 +125,13 @@ def _run_verify(job: dict, store_dir) -> dict:
 
 
 def _run_explore(job: dict, store_dir) -> dict:
+    # In-process inside the worker: the server's pool is the parallelism,
+    # and its daemonic workers may not start processes of their own.
     from repro.explore.driver import DEFAULT_LAXITIES, explore
 
     result = explore(job["benchmark"],
                      laxities=tuple(job.get("laxities", DEFAULT_LAXITIES)),
                      seeds=(int(job.get("seed", 0)),),
-                     shards=int(job.get("shards", 1)),
                      n_passes=int(job.get("passes", 20)),
                      stimulus_seed=int(job.get("stimulus_seed", 7)),
                      search=_search_from_job(job),

@@ -18,7 +18,9 @@ workers, one duplex pipe each:
 Each slot is owned by exactly one consumer task, so there is no work
 queue here — the server's bounded queue is the queue; this class only
 supervises processes.  Blocking pipe waits run on a private thread pool
-(one thread per slot) so the event loop never blocks.
+(one thread per slot) so the event loop never blocks.  The explore
+driver's work-stealing pool (:mod:`repro.explore.steal`) runs on this
+class too, with its own worker main.
 """
 
 from __future__ import annotations
@@ -30,18 +32,14 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.service.errors import JobTimeoutError, WorkerCrash
 
 
-def _worker_main(conn) -> None:
-    """Worker-process loop: recv task, execute, send outcome, repeat.
+def serve(conn, execute) -> None:
+    """Worker-process loop: recv task, ``execute(task)``, send the reply.
 
-    A task is ``(job, store_dir, max_cache_entries, faults)``; the reply
-    is ``("ok", result)`` or ``("error", (type_name, message, class))``.
-    ``None`` (or a closed pipe) means exit.  The fault payloads are
-    applied by :func:`repro.service.jobs.execute_job` itself — a
-    ``kill_worker`` fault SIGKILLs this process mid-loop, which is the
-    point.
+    The reply is ``("ok", result)`` or ``("error", (type_name, message,
+    class))``.  ``None`` (or a closed pipe) means exit, and the loop
+    returns normally.
     """
     from repro.service.errors import classify_exception
-    from repro.service.jobs import execute_job
 
     while True:
         try:
@@ -51,10 +49,8 @@ def _worker_main(conn) -> None:
         if task is None:
             conn.close()
             return
-        job, store_dir, max_cache_entries, faults = task
         try:
-            result = execute_job(job, store_dir, max_cache_entries,
-                                 faults=faults)
+            result = execute(task)
         except BaseException as exc:  # report, never kill the loop
             reply = ("error", (type(exc).__name__, str(exc),
                                classify_exception(exc)))
@@ -66,13 +62,30 @@ def _worker_main(conn) -> None:
             return
 
 
+def _execute_task(task):
+    from repro.service.jobs import execute_job
+
+    job, store_dir, max_cache_entries, faults = task
+    return execute_job(job, store_dir, max_cache_entries, faults=faults)
+
+
+def _worker_main(conn) -> None:
+    """The job server's worker process: :func:`serve` job tasks.
+
+    A task is ``(job, store_dir, max_cache_entries, faults)``.  The fault
+    payloads are applied by :func:`repro.service.jobs.execute_job` itself
+    — a ``kill_worker`` fault SIGKILLs this process mid-loop, which is
+    the point.
+    """
+    serve(conn, _execute_task)
+
+
 class _Worker:
     """One spawned worker process plus the parent end of its pipe."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, main):
         self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_worker_main, args=(child,),
-                                daemon=True)
+        self.proc = ctx.Process(target=main, args=(child,), daemon=True)
         self.proc.start()
         child.close()
 
@@ -128,10 +141,16 @@ class _Worker:
 
 
 class SupervisedPool:
-    """Fixed-size set of supervised worker slots (one consumer each)."""
+    """Fixed-size set of supervised worker slots (one consumer each).
+
+    ``main`` is the worker processes' top-level function, called with the
+    child end of the slot's pipe; it should answer tasks through
+    :func:`serve`.  The default runs job-server jobs.
+    """
 
     def __init__(self, workers: int, *, job_timeout_s: float | None = None,
-                 start_method: str | None = None):
+                 start_method: str | None = None, main=_worker_main):
+        self._main = main
         try:
             self._ctx = multiprocessing.get_context(start_method or "fork")
         except ValueError:  # platform without fork: the default context
@@ -139,7 +158,7 @@ class SupervisedPool:
         self.job_timeout_s = job_timeout_s
         #: Workers rebuilt after a crash or a hard kill (server stats).
         self.restarts = 0
-        self._workers = [_Worker(self._ctx) for _ in range(workers)]
+        self._workers = [_Worker(self._ctx, main) for _ in range(workers)]
         self._threads = ThreadPoolExecutor(max_workers=max(workers, 1),
                                            thread_name_prefix="repro-pool")
         self._closed = False
@@ -167,7 +186,7 @@ class SupervisedPool:
 
     def _replace(self, slot: int) -> None:
         self._workers[slot].kill()
-        self._workers[slot] = _Worker(self._ctx)
+        self._workers[slot] = _Worker(self._ctx, self._main)
         self.restarts += 1
 
     def shutdown(self) -> None:

@@ -76,9 +76,9 @@ class TestCommands:
                 "--depth", "2", "--candidates", "5", "--iterations", "2",
                 "--seed", "0", "--no-verify",
                 "--results-dir", str(tmp_path)]
-        assert main(args + ["--shards", "1"]) == 0
+        assert main(args) == 0
         one = json.loads((tmp_path / "explore_loops.json").read_text())
-        assert main(args + ["--shards", "2"]) == 0
+        assert main(args + ["--steal", "2"]) == 0
         two = json.loads((tmp_path / "explore_loops.json").read_text())
         assert one["rows"] == two["rows"]
         assert one["jobs"] == two["jobs"]

@@ -8,6 +8,7 @@ temperature produce the same frontier bytes as a 1-shard in-process run.
 import pytest
 
 from repro.core.search import SearchConfig
+from repro.errors import ExperimentError
 from repro.explore import ExploreJob, explore, job_checkpoint_key
 from repro.faults import FaultPlan
 
@@ -29,7 +30,7 @@ def comparable(result) -> dict:
 
 @pytest.fixture(scope="module")
 def base0():
-    return run(shards=1, seeds=(0,))
+    return run(seeds=(0,))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ class TestStealDeterminism:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_more_seeds_match_too(self, seed):
         assert comparable(run(steal=4, seeds=(seed,))) == comparable(
-            run(shards=1, seeds=(seed,)))
+            run(seeds=(seed,)))
 
     def test_hv_trace_rides_the_merge_order(self, base0, stolen0):
         assert len(base0.hv_trace) == base0.summary()["jobs"]
@@ -54,7 +55,7 @@ class TestStealDeterminism:
 
     def test_fixed_reference_trace_is_nondecreasing(self):
         reference = (5000.0, 10.0, 500.0)
-        result = run(shards=1, seeds=(0,), hv_reference=reference)
+        result = run(seeds=(0,), hv_reference=reference)
         trace = result.hv_trace
         assert trace == sorted(trace)
         assert trace[-1] == pytest.approx(
@@ -120,3 +121,12 @@ class TestCheckpointWarmStart:
         warm = run(steal=4, seeds=(0,), store_dir=store)
         assert warm.warm_hits == warm.summary()["jobs"]
         assert comparable(warm) == comparable(base0)
+
+
+class TestWorkerErrors:
+    def test_a_job_that_raises_fails_the_run(self):
+        # The error comes back as the job's reply; the worker survives and
+        # nothing is retried, because the job would fail the same way again.
+        with pytest.raises(ExperimentError, match="failed in a steal worker"):
+            explore("no_such_benchmark", steal=2, n_passes=6, search=TINY,
+                    **GRID)

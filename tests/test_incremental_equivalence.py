@@ -202,8 +202,7 @@ def test_search_trajectory_identical(mode):
     for incremental in (True, False):
         engine = SynthesisEngine(cdfg, stimulus, options=options,
                                  incremental=incremental)
-        results[incremental] = engine.run(mode=mode, laxity=2.0, search=search,
-                                          parallel_starts=False)
+        results[incremental] = engine.run(mode=mode, laxity=2.0, search=search)
     inc_res, full_res = results[True], results[False]
 
     def trajectory(result):

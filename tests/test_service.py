@@ -283,3 +283,29 @@ def test_service_client_runs_synth_job_with_warm_store(tmp_path):
 
     _serve(body, workers=1, store_dir=str(tmp_path / "store"),
            job_timeout_s=120)
+
+
+def test_explore_job_runs_in_process_inside_a_pool_worker():
+    """An explore job runs its whole grid inside the pool worker that took
+    it: the pool is the parallelism, so a ``shards`` field is ignored
+    instead of starting processes from a daemonic worker."""
+    from repro.service.pool import SupervisedPool
+
+    job = {"kind": "explore", "benchmark": "loops", "passes": 4,
+           "laxities": [1.0, 2.0],
+           "search": {"depth": 2, "candidates": 4, "iterations": 2}}
+
+    async def run_both():
+        pool = SupervisedPool(1, job_timeout_s=120)
+        try:
+            return [await pool.run(0, (payload, "", None, None))
+                    for payload in ({**job, "shards": 2}, job)]
+        finally:
+            await asyncio.get_event_loop().run_in_executor(None,
+                                                           pool.shutdown)
+
+    with_field, without = asyncio.run(run_both())
+    assert with_field[0] == "ok", with_field
+    assert without[0] == "ok", without
+    assert with_field[1]["frontier"] == without[1]["frontier"]
+    assert with_field[1]["frontier"], "explore job returned an empty frontier"
