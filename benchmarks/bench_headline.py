@@ -56,8 +56,7 @@ BENCH_LOG = pathlib.Path(__file__).resolve().parent.parent / "BENCH_headline.jso
 #: ``store`` stage counts cross-run disk hits from the persistent
 #: artifact store (nonzero only when ``$REPRO_STORE_DIR`` points at a
 #: warm store — see ``docs/service.md``).
-PIPELINE_STAGES = ("arch_build", "power_estimate", "replay", "schedule",
-                   "store", "trace_merge")
+PIPELINE_STAGES = ("arch_build", "power_estimate", "store", "trace_merge")
 
 #: The checked-in trajectory keeps only this many most-recent records.
 MAX_RECORDS = 50

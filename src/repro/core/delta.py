@@ -66,10 +66,9 @@ class DirtySet:
         """A rescheduling move that names the units it touched.
 
         Unlike :meth:`full`, the derivation keeps the parent design point
-        as a reference: the scheduler replays recorded fragment scripts
-        whose fingerprints survive the binding edit, and replay reuses the
-        parent's per-pass traces for passes that avoid re-scheduled
-        states (see docs/architecture.md, "Incremental scheduling").
+        as a reference: when the new schedule replays exactly like the
+        parent's, the named units are the only dirty ones and the
+        architecture, traces and power are patched from the parent.
         """
         return cls(fu_ids=frozenset(fu_ids), reschedule=True)
 

@@ -195,14 +195,10 @@ class DesignPoint:
         interfere.  Rejection happens before any architecture is built.
 
         ``dirty`` is the applying move's declaration of what it touched;
-        for non-rescheduling moves it enables the incremental evaluation
-        path.  For rescheduling moves a dirty set with ``reschedule``
-        (see :meth:`DirtySet.for_reschedule`) enables *incremental
-        rescheduling*: the scheduler replays this point's recorded
-        fragment scripts where the binding edit left their fingerprints
-        intact, and replay reuses this point's per-pass traces for passes
-        avoiding re-scheduled states — both bit-identical to the full
-        path.  Passing no dirty set falls back to full evaluation.
+        it enables the incremental evaluation path.  A rescheduling move
+        (see :meth:`DirtySet.for_reschedule`) takes that path only when
+        the new schedule replays exactly like this point's.  Passing no
+        dirty set falls back to full evaluation.
         """
         memo = self.cache.designs if self.cache is not None else None
         if reschedule:
@@ -230,12 +226,8 @@ class DesignPoint:
 
     def _derive_rescheduled(self, binding: Binding,
                             dirty: DirtySet | None) -> "DesignPoint":
-        use_parent = (self.incremental and dirty is not None
-                      and dirty.reschedule)
-        stg = schedule(self.cdfg, binding, self.options, cache=self.cache,
-                       parent=self.stg if use_parent else None)
-        rep = replay(stg, self.cdfg, self.store, cache=self.cache,
-                     parent=(self.stg, self.rep) if use_parent else None)
+        stg = schedule(self.cdfg, binding, self.options, cache=self.cache)
+        rep = replay(stg, self.cdfg, self.store, cache=self.cache)
         # A rescheduling move usually perturbs only unit assignment,
         # not timing: when the new STG is replay-equivalent to the
         # parent's (same states, durations, op placements and
@@ -243,8 +235,8 @@ class DesignPoint:
         # is unchanged and the named units are the only dirty ones,
         # so the architecture/traces/power can be *derived* exactly
         # as for a non-rescheduling move instead of rebuilt.
-        if (use_parent and
-                stg.replay_signature() == self.stg.replay_signature()):
+        if (self.incremental and dirty is not None and dirty.reschedule
+                and stg.replay_signature() == self.stg.replay_signature()):
             dirty = DirtySet(fu_ids=dirty.fu_ids, reg_ids=dirty.reg_ids,
                              port_keys=dirty.port_keys)
         else:

@@ -9,16 +9,14 @@ identical schedules, replays and merged traces.
 
 :meth:`SynthesisEngine.run` executes one IMPACT flow (Figure 7) and is the
 single entry point behind :func:`repro.core.impact.synthesize`; it searches
-from each start in turn, in start order.
-:meth:`SynthesisEngine.run_many` executes a batch of runs against the same
-shared state.  Results are bit-identical with caching toggled off: every
-cached artifact is immutable and content-addressed.
+from each start in turn, in start order.  Results are bit-identical with
+caching toggled off: every cached artifact is immutable and
+content-addressed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from repro.errors import ConstraintError
 from repro.cdfg.graph import CDFG
@@ -253,15 +251,6 @@ class SynthesisEngine:
             cache_stats=self.cache.window_stats(window),
             profile=PROFILER.window(profile_window),
         )
-
-    def run_many(self, runs: Iterable[Mapping]) -> list[SynthesisResult]:
-        """Execute a batch of :meth:`run` calls against the shared state.
-
-        Each element of ``runs`` is a kwargs mapping for :meth:`run`; runs
-        execute in order, so later runs reuse everything earlier ones
-        cached.
-        """
-        return [self.run(**spec) for spec in runs]
 
     def cache_stats(self) -> dict:
         """Lifetime hit/miss counters of the engine's memo tables."""

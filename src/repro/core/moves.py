@@ -88,9 +88,9 @@ class ShareFU(Move):
         return ("share_fu", self.keep, self.absorb, self.module_name)
 
     def affected(self, design: DesignPoint) -> DirtySet:
-        # Re-schedules — every port and lifetime may move — but only the
-        # merged units' regions actually change, so the schedule/replay
-        # layer can reuse the parent's untouched fragments and passes.
+        # Re-schedules — every port and lifetime may move — but when the
+        # new schedule replays like the parent's, only the merged units
+        # are dirty and the derivation patches the parent's evaluation.
         return DirtySet.for_reschedule(self.keep, self.absorb)
 
     def apply(self, design: DesignPoint) -> DesignPoint:

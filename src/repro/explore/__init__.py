@@ -23,7 +23,7 @@ from repro.explore.driver import (
     verify_frontier,
 )
 from repro.explore.pareto import ParetoFront, ParetoPoint, dominates
-from repro.explore.steal import StealOutcome, completed_log, job_checkpoint_key
+from repro.explore.steal import StealOutcome, job_checkpoint_key
 
 __all__ = [
     "DEFAULT_LAXITIES",
@@ -33,7 +33,6 @@ __all__ = [
     "ParetoFront",
     "ParetoPoint",
     "StealOutcome",
-    "completed_log",
     "dominates",
     "engine_for_benchmark",
     "explore",

@@ -202,18 +202,3 @@ def run_stolen(payload: dict, jobs, *, workers: int, steal_plan=None,
     outcome.workers = len(slot_ids) + pool.restarts
     return outcome
 
-
-def completed_log(outcome: StealOutcome) -> list[tuple[int, int]]:
-    """The replayable subset of a steal log: last dispatch per finished job.
-
-    Killed attempts stay in ``outcome.log`` for forensics but cannot be
-    replayed (replay runs clean); the surviving attempt can.
-    """
-    last: dict[int, int] = {}
-    order: list[int] = []
-    for index, worker in outcome.log:
-        if index in outcome.results:
-            if index not in last:
-                order.append(index)
-            last[index] = worker
-    return [(index, last[index]) for index in order]

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import GenerationError, ReproError
 from repro.genprog.config import GenConfig
 from repro.genprog.coverage import bin_families, coverage_digest, extract_coverage
 from repro.genprog.emit import emit_source, strip_positions
@@ -289,12 +289,19 @@ def fleet_run(count: int, seed: int, *, guided: bool = True,
         if guided and corpus.entries and fresh_dry >= FRESH_PATIENCE:
             bred = _mutant_program(corpus, rng, name, program_seed,
                                    template, n_passes)
+        generate_error = None
         if bred is not None:
             program, _cdfg, origin = bred
         else:
             config = dataclasses.replace(template, seed=program_seed)
-            program = generate_program(config, name=name)
             origin = "fresh"
+            try:
+                program = generate_program(config, name=name)
+            except GenerationError as exc:
+                # The generator's own invariant tripped: the emitted
+                # source is itself the reproducer, as in ``fuzz_run``.
+                program = generate_program(config, name=name, check=False)
+                generate_error = str(exc)
 
         bins: set[str] = set()
 
@@ -304,10 +311,15 @@ def fleet_run(count: int, seed: int, *, guided: bool = True,
                                          stg=result.design.stg,
                                          replay=result.design.rep))
 
-        verdict = fuzz_program(program, laxities=laxities,
-                               n_passes=n_passes, search=search,
-                               use_iverilog=use_iverilog,
-                               store_dir=store_dir, observer=observe)
+        if generate_error is not None:
+            verdict = ProgramVerdict(
+                name=name, seed=program_seed, status="generate",
+                n_statements=program.n_statements, detail=generate_error)
+        else:
+            verdict = fuzz_program(program, laxities=laxities,
+                                   n_passes=n_passes, search=search,
+                                   use_iverilog=use_iverilog,
+                                   store_dir=store_dir, observer=observe)
         if not bins:
             # Failed before any laxity synthesized: the region shape is
             # still coverage (and often the interesting part).

@@ -81,18 +81,6 @@ class TestMultiStart:
         assert result.history.evaluations == expected
 
 
-class TestRunMany:
-    def test_run_many_matches_individual_runs(self, gcd_engine):
-        specs = [
-            {"mode": "area", "laxity": 1.5, "search": FAST},
-            {"mode": "power", "laxity": 2.0, "search": FAST},
-        ]
-        batch = gcd_engine.run_many(specs)
-        singles = [gcd_engine.run(**spec) for spec in specs]
-        for got, want in zip(batch, singles):
-            assert _fingerprint(got) == _fingerprint(want)
-
-
 class TestLazyDesignPoint:
     def test_architecture_built_on_demand(self, gcd_engine):
         initial = gcd_engine.initial

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core.search import SearchConfig
+from repro.errors import GenerationError
 from repro.genprog import (
     GenConfig,
     emit_source,
@@ -140,6 +141,42 @@ class TestFleetRun:
         rows = report.rows()
         assert all({"origin", "bins", "new_bins", "kept"} <= set(row)
                    for row in rows)
+
+    def test_generator_failure_is_filed_not_raised(self, tmp_path,
+                                                    monkeypatch):
+        # One generator-invariant failure must not abort the fleet: like
+        # fuzz_run, it is recorded as status "generate", shrunk, and
+        # filed under its triage digest, and the fleet goes on.
+        real = fleet_mod.generate_program
+
+        def flaky(config, *, name=None, check=True):
+            if name == "fleet1" and check:
+                raise GenerationError("injected invariant failure")
+            return real(config, name=name, check=check)
+
+        shrunk = []
+
+        def fake_shrink(process, predicate, max_trials):
+            shrunk.append(process.name)
+            return MINIMAL
+
+        monkeypatch.setattr(fleet_mod, "generate_program", flaky)
+        monkeypatch.setattr(fleet_mod, "shrink_process", fake_shrink)
+        report = fleet_run(3, 0, guided=False, gen=self.GEN, n_passes=4,
+                           search=TINY, results_dir=tmp_path)
+        assert [v.verdict.name for v in report.verdicts] == [
+            "fleet0", "fleet1", "fleet2"]
+        failed = report.verdicts[1].verdict
+        assert failed.status == "generate"
+        assert failed.detail == "injected invariant failure"
+        assert "fleet1" in shrunk
+        digest = triage_digest("generate", MINIMAL)
+        assert report.triage[digest] == ["fleet1"]
+        assert failed.reproducer == f"fuzz_repro_{digest}.src"
+        assert (tmp_path / failed.reproducer).read_text(
+            encoding="utf-8") == emit_source(MINIMAL)
+        assert all(v.verdict.status != "generate"
+                   for v in report.verdicts if v is not report.verdicts[1])
 
     def test_blind_never_mutates(self, tmp_path):
         report = fleet_run(4, 0, guided=False, gen=self.GEN, n_passes=4,

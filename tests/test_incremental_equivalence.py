@@ -95,15 +95,15 @@ def replay_digest(rep) -> tuple:
           suppress_health_check=list(HealthCheck))
 @given(seed=st.integers(0, 10**6))
 def test_rescheduling_chains_splice_equivalent(name, caching, seed):
-    """ShareFU / violating-SubstituteModule chains, spliced vs full.
+    """ShareFU / violating-SubstituteModule chains, incremental vs full.
 
-    These are the *rescheduling* moves: the incremental path replays the
-    parent's clean fragment scripts and splices only the dirty regions'
-    states, then patches the replay against the cached trace store.  At
-    every step of the chain the spliced STG must be structurally equal to
-    the full path's, the replay traces bit-identical, and the power
-    bundle equal — with the pipeline cache both on and off, and with
-    rejection parity on illegal moves.
+    These are the *rescheduling* moves: both paths schedule from scratch,
+    and the incremental one patches the architecture, traces and power
+    from the parent whenever the new STG replays exactly like the
+    parent's.  At every step of the chain the incremental point's STG
+    must be structurally equal to the full path's, the replay traces
+    bit-identical, and the power bundle equal — with the pipeline cache
+    both on and off, and with rejection parity on illegal moves.
     """
     from repro.core.moves import ShareFU, SubstituteModule
     from repro.library.module import scale_delay
@@ -125,7 +125,7 @@ def test_rescheduling_chains_splice_equivalent(name, caching, seed):
         # Alternate preference between unit merges and slower-module
         # substitutions: ShareFU always re-schedules, and a substitution
         # re-schedules exactly when the slower module breaks a state's
-        # cycle window — the two chains this suite must prove spliced.
+        # cycle window — the two chains this suite must prove equivalent.
         shares = [m for m in resched if isinstance(m, ShareFU)]
         slow_subs = [m for m in resched
                      if isinstance(m, SubstituteModule) and is_slower(inc, m)]
@@ -151,6 +151,41 @@ def test_rescheduling_chains_splice_equivalent(name, caching, seed):
         applied += 1
     # The whole trajectory must have advanced through real reschedules.
     assert applied > 0
+
+
+def test_replay_equivalent_reschedule_patches_parent():
+    """A rescheduling move whose STG replays like the parent's is patched.
+
+    ShareFU always schedules from scratch; when the new STG's replay
+    signature equals the parent's, the derived point still builds its
+    architecture, traces and power by patching the parent's through the
+    move's dirty set — and lands on the full path's bundle.
+    """
+    from repro.core.moves import ShareFU
+    from repro.core.profile import PROFILER
+
+    inc, full = get_pair("gcd", False)
+    equivalent = []
+    for move in generate_moves(inc):
+        if not isinstance(move, ShareFU):
+            continue
+        try:
+            derived = move.apply(inc)
+        except ReproError:
+            continue
+        if derived.stg.replay_signature() == inc.stg.replay_signature():
+            equivalent.append(move)
+    assert equivalent, "no ShareFU from the initial point is replay-equivalent"
+
+    move = equivalent[0]
+    inc.arch  # the parent's own build stays outside the window
+    since = PROFILER.snapshot()
+    derived = move.apply(inc)
+    assert derived._parent is inc
+    derived.arch
+    arch_build = PROFILER.window(since)["arch_build"]
+    assert arch_build["calls"] == arch_build["incremental"] == 1
+    assert bundle(derived) == bundle(move.apply(full))
 
 
 @pytest.mark.parametrize("caching", [True, False],
