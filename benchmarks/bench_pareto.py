@@ -1,9 +1,10 @@
-"""Pareto-frontier quality on gcd and paulin.
+"""Pareto-frontier quality on gcd, paulin and histogram.
 
 Runs the multi-objective explorer over its default (objective x laxity)
 grid — through the work-stealing pool, so the steal path gets nightly
-coverage — for the control-dominated GCD and the data-dominated Paulin
-solver and reports the two standard frontier-quality indicators:
+coverage — for the control-dominated GCD, the data-dominated Paulin
+solver and the memory-bound histogram, and reports the two standard
+frontier-quality indicators:
 
 * **frontier size** — how many mutually non-dominated (area, power,
   latency) design variants the archive-guided searches surfaced;
@@ -41,7 +42,7 @@ from repro.explore import explore
 from repro.store.atomic import write_json
 
 SEARCH = SearchConfig(max_depth=4, max_candidates=10, max_iterations=5, seed=0)
-NAMES = ("gcd", "paulin")
+NAMES = ("gcd", "paulin", "histogram")
 N_PASSES = 15
 STEAL_WORKERS = 2
 if os.environ.get("PARETO_SMOKE"):
@@ -61,6 +62,7 @@ MAX_RECORDS = 50
 REFERENCES = {
     "gcd": (1500.0, 4.0, 150.0),
     "paulin": (40000.0, 25.0, 250.0),
+    "histogram": (8000.0, 8.0, 400.0),
 }
 
 

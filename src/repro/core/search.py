@@ -54,9 +54,9 @@ class SearchHistory:
     evaluations: int = 0
     #: Pipeline-cache hits/misses accumulated while this search ran
     #: (schedule + replay + trace-merge tables; zero without a cache).
-    #: Under parallel multi-start the windows of sibling searches overlap,
-    #: so per-search numbers are indicative — the run-level stats on
-    #: :class:`~repro.core.engine.SynthesisResult` are exact.
+    #: Multi-start searches its starts one after another, so this window
+    #: holds this search's lookups alone; the run-level stats on
+    #: :class:`~repro.core.engine.SynthesisResult` cover every start.
     cache_hits: int = 0
     cache_misses: int = 0
 

@@ -20,10 +20,12 @@ frontier is bit-identical for any worker count** — the determinism
 tests in ``tests/test_explore_driver.py`` and
 ``tests/test_explore_steal.py`` enforce it.
 
-:func:`verify_frontier` closes the loop: it re-derives the design behind
-every frontier point (same job, same seed — the search replays exactly)
-and runs it through the full differential-conformance oracle chain via
-:meth:`SynthesisEngine.verify`.
+:func:`verify_frontier` closes the loop without searching again: every
+job record carries a plain-data *recipe* (binding, STG, mux-tree policy)
+for each point of its local front, so the design behind every frontier
+point is rebuilt directly — schedule replay plus one architecture build —
+checked against the point's objectives, and run through the full
+differential-conformance oracle chain via :meth:`SynthesisEngine.verify`.
 """
 
 from __future__ import annotations
@@ -33,11 +35,19 @@ import time
 from dataclasses import dataclass, field
 
 from repro.benchmarks.registry import get_benchmark
+from repro.core.design import DesignPoint
 from repro.core.engine import SynthesisEngine
 from repro.core.search import SearchConfig, WeightedObjective
 from repro.errors import ExperimentError
 from repro.explore.pareto import ParetoFront, ParetoPoint
 from repro.sched.engine import ScheduleOptions
+from repro.sched.replay import replay
+from repro.store.codec import (
+    decode_binding,
+    decode_stg,
+    encode_binding,
+    encode_stg,
+)
 
 #: The default objective grid: the paper's two modes plus a balanced
 #: area/power scalarization that fills in the middle of the trade-off.
@@ -70,12 +80,12 @@ class ExploreResult:
 
     The grid (``objectives``/``laxities``/``seeds``), the ``search``
     config and the stimulus parameters are recorded so
-    :func:`verify_frontier` can replay the exact searches that produced
-    the frontier — callers never re-supply them (a mismatched re-supply
-    would silently verify the wrong designs).  An in-process run
-    additionally retains its engine and the frontier designs
-    (``_engine``/``_designs``), letting verification skip the replay
-    entirely.
+    :func:`verify_frontier` can cross-check every point's provenance and
+    rebuild its design against the same stimulus — callers never
+    re-supply them (a mismatched re-supply would silently verify the
+    wrong designs).  ``_recipes`` holds the plain-data recipe of every
+    frontier point, keyed by (job index, offer order); it stays out of
+    the rows, the summary and ``jobs``, so reports are unchanged by it.
     """
 
     benchmark: str
@@ -98,10 +108,9 @@ class ExploreResult:
     #: the search-quality-over-time curve the benchmark gate tracks.
     #: Identical for any worker count (the merge order is fixed).
     hv_trace: list = field(default_factory=list)
-    #: In-process design retention (``steal=0`` runs only): engine plus
-    #: {(job index, offer order): DesignPoint} for the frontier points.
-    _engine: object = field(default=None, repr=False, compare=False)
-    _designs: dict = field(default=None, repr=False, compare=False)
+    #: {(job index, offer order): recipe} for the frontier points (see
+    #: :func:`design_recipe`), in the front's stable order.
+    _recipes: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def evaluations(self) -> int:
@@ -169,17 +178,49 @@ def _resolve_mode(engine: SynthesisEngine, job: ExploreJob):
     return WeightedObjective.for_engine(engine, job.objective, job.laxity)
 
 
-def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
-             keep_designs: bool = False):
-    """Run one grid cell; returns (local front, stats, designs-by-order).
+def design_recipe(design: DesignPoint) -> dict:
+    """The JSON-safe recipe that rebuilds ``design``: binding, STG, trees.
+
+    Everything a design point is a function of besides the engine's
+    shared state (CDFG, library, profile, options).  Tree-policy port
+    keys are sorted so equal policies encode to equal bytes.
+    """
+    return {"binding": encode_binding(design.binding),
+            "stg": encode_stg(design.stg),
+            "tree_policy": [list(key) for key in
+                            sorted(design.tree_policy, key=repr)]}
+
+
+def rebuild_design(engine: SynthesisEngine, recipe: dict) -> DesignPoint:
+    """A fresh design point from :func:`design_recipe`'s output.
+
+    Replays the decoded STG against the engine's profile and builds the
+    architecture from scratch; evaluation is bit-identical to the point
+    the search visited, however that point was derived.
+    """
+    binding = decode_binding(recipe["binding"], engine.cdfg, engine.library)
+    stg = decode_stg(recipe["stg"])
+    rep = replay(stg, engine.cdfg, engine.store, cache=engine.cache)
+    return DesignPoint(
+        engine.cdfg, engine.library, engine.store, engine.options, binding,
+        stg, rep, frozenset(tuple(key) for key in recipe["tree_policy"]),
+        cache=engine.cache)
+
+
+def _run_job(engine: SynthesisEngine, job: ExploreJob,
+             search: SearchConfig) -> dict:
+    """Run one grid cell; returns its plain-data record.
 
     The observer offers every feasible visited design to a job-local
     :class:`ParetoFront`; the point's ``meta["order"]`` is its offer
-    sequence number, which is what lets :func:`verify_frontier` re-run
-    the same job and pick out the exact design behind a frontier point.
+    sequence number.  The record holds the job's stats, its local front
+    and, aligned with the front, each point's :func:`design_recipe` —
+    plain data, so it can cross a process pipe and be checkpointed.
     """
     local = ParetoFront()
-    designs: dict[int, object] = {}
+    # Offer order -> the design, for every offer the front accepted;
+    # evicted entries are dropped when the recipes are taken.
+    accepted: dict[int, DesignPoint] = {}
 
     def observer(design, evaluation):
         order = local.offered
@@ -200,8 +241,8 @@ def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
                 "mux2": summary["mux2"],
                 "states": summary["states"],
             })
-        if local.add(point) and keep_designs:
-            designs[order] = design
+        if local.add(point):
+            accepted[order] = design
 
     result = engine.run(
         mode=_resolve_mode(engine, job), laxity=job.laxity,
@@ -217,15 +258,12 @@ def _run_job(engine: SynthesisEngine, job: ExploreJob, search: SearchConfig,
         "kept": len(local),
         "best": result.design.summary(),
     }
-    return local, stats, designs
-
-
-def _job_record(local: ParetoFront, stats: dict) -> dict:
-    """One job's plain-data result: its stats and its local front."""
     return {"stats": stats,
             "points": [{"area": p.area, "power": p.power,
                         "latency": p.latency, "meta": dict(p.meta)}
-                       for p in local.points]}
+                       for p in local.points],
+            "recipes": [design_recipe(accepted[p.meta["order"]])
+                        for p in local.points]}
 
 
 def make_jobs(objectives=DEFAULT_OBJECTIVES, laxities=DEFAULT_LAXITIES,
@@ -306,8 +344,6 @@ def explore(benchmark: str, *,
     jobs = make_jobs(objectives, laxities, seeds)
     t0 = time.perf_counter()
 
-    engine = None
-    designs: dict[tuple[int, int], object] = {}
     steal_outcome = None
     if steal or steal_plan:
         from repro.explore.steal import run_stolen
@@ -325,18 +361,10 @@ def explore(benchmark: str, *,
             steal_plan=steal_plan, fault_plan=fault_plan)
         by_index = steal_outcome.results
     else:
-        # In-process run: keep each job's archived designs so a later
-        # verify_frontier call can skip re-running the searches.
         engine = engine_for_benchmark(benchmark, n_passes=n_passes,
                                       seed=stimulus_seed, caching=caching,
                                       store_dir=store_dir)
-        by_index = {}
-        for job in jobs:
-            local, stats, job_designs = _run_job(engine, job, search,
-                                                 keep_designs=True)
-            designs.update({(job.index, order): design
-                            for order, design in job_designs.items()})
-            by_index[job.index] = _job_record(local, stats)
+        by_index = {job.index: _run_job(engine, job, search) for job in jobs}
 
     # Merge per-job results in grid order: the merge sequence (and with
     # it the frontier's stable tie-breaking) is then independent of which
@@ -344,23 +372,20 @@ def explore(benchmark: str, *,
     front = ParetoFront()
     job_stats = []
     hv_trace = []
+    recipes = {}
     for index in sorted(by_index):
         job_result = by_index[index]
         job_stats.append(job_result["stats"])
-        for rec in job_result["points"]:
+        for rec, recipe in zip(job_result["points"], job_result["recipes"]):
             front.add(ParetoPoint(rec["area"], rec["power"], rec["latency"],
                                   meta=rec["meta"]))
+            recipes[(index, rec["meta"]["order"])] = recipe
         # hv_reference pins the trace to a caller-fixed reference point
         # (the benchmark gate's committed per-benchmark references);
         # None floats it at 1.1x the running front's per-axis maxima.
         hv_trace.append(front.hypervolume(hv_reference))
 
-    if engine is not None:
-        # Retain only the frontier's designs; evicted archive entries
-        # would otherwise pin their architectures and streams.
-        keep = {(p.meta["job"], p.meta["order"]) for p in front.points}
-        designs = {key: designs[key] for key in keep}
-
+    keys = [(p.meta["job"], p.meta["order"]) for p in front.points]
     return ExploreResult(
         benchmark=benchmark, front=front, jobs=job_stats,
         n_passes=n_passes, stimulus_seed=stimulus_seed,
@@ -370,39 +395,36 @@ def explore(benchmark: str, *,
         steal_workers=steal_outcome.workers if steal_outcome else 0,
         steal_log=list(steal_outcome.log) if steal_outcome else [],
         warm_hits=steal_outcome.warm_hits if steal_outcome else 0,
-        hv_trace=hv_trace,
-        _engine=engine, _designs=designs if engine is not None else None)
+        hv_trace=hv_trace, _recipes={key: recipes[key] for key in keys})
 
 
 def verify_frontier(result: ExploreResult, *,
                     use_iverilog: str = "auto") -> list:
     """Conformance-check the design behind every frontier point.
 
-    The replay recipe (grid, search config, stimulus) is taken from the
-    :class:`ExploreResult` itself, so the verified designs are exactly
-    the ones the frontier reports.  An in-process result retained its
-    designs and verifies them directly; a steal result re-runs only the
-    grid cells that own frontier points (the search is
-    deterministic, so the re-run visits the same designs in the same
-    order) and picks each point's design out by its ``meta["order"]``.
-    Either way every design goes through :meth:`SynthesisEngine.verify`
-    — the differential oracle chain over interpreter / replay / gatesim
-    / emitted-Verilog netsim.
+    No search runs: each point's design is rebuilt from the recipe its
+    job recorded (:func:`rebuild_design`) on one engine built from the
+    stimulus parameters the :class:`ExploreResult` itself records, so
+    the verified designs are exactly the ones the frontier reports.  A
+    rebuilt design must evaluate to the point's (area, power, latency)
+    exactly before it is verified.  Every design then goes through
+    :meth:`SynthesisEngine.verify` — the differential oracle chain over
+    interpreter / replay / gatesim / emitted-Verilog netsim.
 
     Returns one :class:`~repro.verify.conformance.ConformanceReport` per
     frontier point, in the front's stable order.  Raises
-    :class:`~repro.errors.ExperimentError` if a frontier point cannot be
-    re-derived (tampered provenance or result fields).
+    :class:`~repro.errors.ExperimentError` if a point's provenance does
+    not match the recorded grid, or its recipe is missing or does not
+    rebuild the point's objectives (tampered result fields).
     """
     jobs = {job.index: job
             for job in make_jobs(result.objectives, result.laxities,
                                  result.seeds)}
-    needed: dict[int, set[int]] = {}
     for point in result.front.points:
         job = jobs.get(point.meta["job"])
-        # Integrity check: each point's provenance must match the job it
-        # replays under, or the re-derived design would silently be the
-        # wrong one (e.g. a hand-edited result with a reordered grid).
+        # Integrity check: each point's provenance must match the job
+        # that produced it (e.g. a hand-edited result with a reordered
+        # grid would otherwise report designs under the wrong cell).
         if (job is None
                 or job.label != point.meta["objective"]
                 or job.laxity != point.meta["laxity"]
@@ -412,33 +434,24 @@ def verify_frontier(result: ExploreResult, *,
                 f"({point.meta['objective']}, laxity {point.meta['laxity']}, "
                 f"seed {point.meta['seed']}) does not match the result's "
                 f"recorded objectives/laxities/seeds grid")
-        needed.setdefault(point.meta["job"], set()).add(point.meta["order"])
 
-    engine = result._engine
-    designs = result._designs
-    if engine is None or designs is None or any(
-            (index, order) not in designs
-            for index, orders in needed.items() for order in orders):
-        # Steal (or stripped) result: re-derive by deterministic replay.
-        engine = engine_for_benchmark(
-            result.benchmark, n_passes=result.n_passes,
-            seed=result.stimulus_seed)
-        designs = {}
-        for index in sorted(needed):
-            _, _, job_designs = _run_job(engine, jobs[index], result.search,
-                                         keep_designs=True)
-            for order in needed[index]:
-                if order not in job_designs:
-                    raise ExperimentError(
-                        f"job {index} re-run did not visit offer {order}; "
-                        f"the result's recorded grid or stimulus no longer "
-                        f"reproduces its frontier")
-                designs[(index, order)] = job_designs[order]
-
-    reports = []
+    engine = engine_for_benchmark(result.benchmark, n_passes=result.n_passes,
+                                  seed=result.stimulus_seed)
+    designs = []
     for point in result.front.points:
-        design = designs[(point.meta["job"], point.meta["order"])]
-        reports.append(engine.verify(
-            design=design, use_iverilog=use_iverilog,
-            name=f"{result.benchmark}.j{point.meta['job']}o{point.meta['order']}"))
-    return reports
+        name = (f"{result.benchmark}.j{point.meta['job']}"
+                f"o{point.meta['order']}")
+        recipe = result._recipes.get((point.meta["job"], point.meta["order"]))
+        if recipe is None:
+            raise ExperimentError(f"frontier point {name} carries no recipe")
+        design = rebuild_design(engine, recipe)
+        evaluation = design.evaluate()
+        rebuilt = (evaluation.area, evaluation.power_scaled, evaluation.enc)
+        if rebuilt != (point.area, point.power, point.latency):
+            raise ExperimentError(
+                f"frontier point {name} reports (area, power, latency) "
+                f"{(point.area, point.power, point.latency)} but its recipe "
+                f"rebuilds {rebuilt}")
+        designs.append((name, design))
+    return [engine.verify(design=design, use_iverilog=use_iverilog, name=name)
+            for name, design in designs]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 class StealOutcome:
     """What the pool hands back to the driver."""
 
-    #: job index -> {"stats": ..., "points": ...} (see ``_job_record``).
+    #: job index -> {"stats", "points", "recipes"} (see ``driver._run_job``).
     results: dict[int, dict] = field(default_factory=dict)
     #: (job index, slot) in dispatch order, completed attempts marked by
     #: membership in ``results`` (killed attempts appear too).
@@ -63,12 +63,14 @@ def job_checkpoint_key(cdfg_digest: str, job, search, n_passes: int,
     benchmark (by content digest, so renamed registry entries that parse
     to the same CDFG share checkpoints), the stimulus draw, the search
     config and the cell's objective/laxity/seed.  Worker count and steal
-    order are deliberately absent.
+    order are deliberately absent.  The leading format token changes
+    whenever the record's shape does (2: records carry design recipes),
+    so a store shared with older code never serves a stale record.
     """
     from repro.store import digest_key
 
     return digest_key((
-        "explore-job", cdfg_digest, n_passes, stimulus_seed,
+        "explore-job", 2, cdfg_digest, n_passes, stimulus_seed,
         job.objective, job.laxity, job.seed, search,
     ))
 
@@ -81,7 +83,7 @@ def _run_task(state: dict, task):
     Checkpoint lookups go straight to the artifact store; the job runs
     only on a miss, and publishes its result for the next run.
     """
-    from repro.explore.driver import _job_record, _run_job, engine_for_benchmark
+    from repro.explore.driver import _run_job, engine_for_benchmark
     from repro.faults import activate
     from repro.store import STORE_DIR_ENV, cdfg_digest, open_store
 
@@ -103,8 +105,7 @@ def _run_task(state: dict, task):
         record = store.get("explore", key) if store is not None else None
         if record is not None:
             return record, True
-        local, stats, _ = _run_job(state["engine"], job, payload["search"])
-        record = _job_record(local, stats)
+        record = _run_job(state["engine"], job, payload["search"])
         if store is not None:
             store.put_json("explore", key, record)
         return record, False

@@ -14,7 +14,9 @@ halves of the persistent translation:
   holds.  STGs are rebuilt state by state *preserving transition list
   order* (replay's first-match walk and the controller emission both
   read it), so a decoded STG is bit-identical to the computed one in
-  everything downstream consumes.
+  everything downstream consumes.  STG and binding payloads are also
+  JSON-safe: together they are the design recipes explore checkpoints
+  carry (see :mod:`repro.explore.driver`).
 
 Payload blobs are pickled plain containers (dicts/lists/tuples/numpy
 arrays) — pickle round-trips ints, floats and array dtypes exactly,
@@ -166,6 +168,47 @@ def decode_stg(payload: dict):
     for src, dst, conds in payload["transitions"]:
         stg.add_transition(src, dst, frozenset((c, want) for c, want in conds))
     return stg
+
+
+def encode_binding(binding) -> dict:
+    """Binding -> JSON-safe payload (instance insertion order preserved).
+
+    Units, registers and RAMs are stored by library/spec *name*, so the
+    payload rebuilds against any process's library.  Op and carrier sets
+    are sorted (nothing downstream reads their iteration order).
+    """
+    return {
+        "fus": [[fu.id, fu.module.name, sorted(fu.ops), fu.width]
+                for fu in binding.fus.values()],
+        "regs": [[reg.id, reg.width, sorted(reg.carriers)]
+                 for reg in binding.regs.values()],
+        "mems": [[mem.name, mem.spec.name, mem.width, mem.depth,
+                  [[node, port] for node, port in mem.port_of.items()]]
+                 for mem in binding.mems.values()],
+        "next_fu": binding._next_fu,
+        "next_reg": binding._next_reg,
+    }
+
+
+def decode_binding(payload: dict, cdfg, library):
+    """Payload dict -> Binding over ``cdfg``, equal in every signature."""
+    from repro.core.binding import Binding, FUInstance, MemInstance, RegInstance
+    from repro.library.memory import ram_spec
+
+    binding = Binding(cdfg, library)
+    for fu_id, module, ops, width in payload["fus"]:
+        binding.fus[fu_id] = FUInstance(fu_id, library.get(module), set(ops),
+                                        width)
+        binding.op_to_fu.update(dict.fromkeys(ops, fu_id))
+    for reg_id, width, carriers in payload["regs"]:
+        binding.regs[reg_id] = RegInstance(reg_id, width, set(carriers))
+        binding.carrier_to_reg.update(dict.fromkeys(carriers, reg_id))
+    for name, spec, width, depth, port_of in payload["mems"]:
+        binding.mems[name] = MemInstance(name, ram_spec(spec), width, depth,
+                                         {node: port for node, port in port_of})
+    binding._next_fu = payload["next_fu"]
+    binding._next_reg = payload["next_reg"]
+    return binding
 
 
 def encode_replay(result) -> dict:

@@ -1,18 +1,24 @@
 """The explore() driver: grid, determinism across workers, verification."""
 
+import copy
 import dataclasses
+import json
 
 import pytest
 
+from repro.core.engine import SynthesisEngine
 from repro.core.search import SearchConfig
 from repro.errors import ExperimentError
 from repro.explore import (
     ExploreJob,
+    engine_for_benchmark,
     explore,
     make_jobs,
     verify_frontier,
 )
+from repro.explore import driver
 from repro.explore.pareto import dominates
+from repro.hdl import emit_verilog, lower_architecture
 
 TINY = SearchConfig(max_depth=2, max_candidates=5, max_iterations=2)
 GRID = dict(laxities=(1.0, 2.0), objectives=("area", "power"))
@@ -88,23 +94,88 @@ class TestExplore:
         assert result.steal_workers == 1
 
 
+def forbid_search(monkeypatch):
+    """Make any grid-cell run or synthesis search fail the test."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("verify_frontier ran a search")
+
+    monkeypatch.setattr(driver, "_run_job", no_search)
+    monkeypatch.setattr(SynthesisEngine, "run", no_search)
+
+
+def frontier_keys(result) -> list:
+    return [(p.meta["job"], p.meta["order"]) for p in result.front.points]
+
+
+def verilog(design) -> str:
+    return emit_verilog(lower_architecture(design.arch, name="dut"))
+
+
 class TestVerifyFrontier:
-    def test_one_shard_result_retains_designs(self, loops_result):
-        assert loops_result._engine is not None
-        keys = {(p.meta["job"], p.meta["order"])
-                for p in loops_result.front.points}
-        assert set(loops_result._designs) == keys
+    def test_one_shard_result_retains_designs(self, loops_result,
+                                              monkeypatch):
+        # An in-process result carries a recipe per frontier point and
+        # verifies from them without searching again.
+        assert list(loops_result._recipes) == frontier_keys(loops_result)
+        forbid_search(monkeypatch)
+        reports = verify_frontier(loops_result)
+        assert len(reports) == len(loops_result.front)
+        assert all(r.ok for r in reports)
 
     def test_frontier_designs_conform_in_process(self, loops_result):
         reports = verify_frontier(loops_result)
         assert len(reports) == len(loops_result.front)
         assert all(r.ok for r in reports)
 
-    def test_sharded_result_verifies_by_replay(self, loops_stolen):
-        assert loops_stolen._engine is None
+    def test_sharded_result_verifies_by_replay(self, loops_stolen,
+                                               monkeypatch):
+        # The recipes crossed the steal pipe: same keys, same payloads.
+        assert list(loops_stolen._recipes) == frontier_keys(loops_stolen)
+        forbid_search(monkeypatch)
         reports = verify_frontier(loops_stolen)
         assert len(reports) == len(loops_stolen.front)
         assert all(r.ok for r in reports)
+
+    def test_warm_started_result_runs_no_search(self, tmp_path,
+                                                monkeypatch):
+        store = tmp_path / "store"
+        explore("loops", steal=2, n_passes=6, search=TINY, store_dir=store,
+                **GRID)
+        warm = explore("loops", steal=2, n_passes=6, search=TINY,
+                       store_dir=store, **GRID)
+        assert warm.warm_hits == len(warm.jobs)
+        forbid_search(monkeypatch)
+        reports = verify_frontier(warm)
+        assert len(reports) == len(warm.front)
+        assert all(r.ok for r in reports)
+
+    def test_recipes_stay_out_of_reports(self, loops_result):
+        reports = json.dumps(
+            [loops_result.rows(), loops_result.summary(), loops_result.jobs])
+        for key in ("recipes", "binding", "stg", "tree_policy"):
+            assert key not in reports
+
+    def test_tampered_recipe_is_detected(self, loops_result):
+        engine = engine_for_benchmark("loops", n_passes=6, store_dir="")
+        recipes = copy.deepcopy(loops_result._recipes)
+        # Swap one unit's module for another that implements its ops: the
+        # rebuilt design is legal but no longer the reported point.
+        for recipe in recipes.values():
+            for fu in recipe["binding"]["fus"]:
+                spec = engine.library.get(fu[1])
+                kinds = frozenset(engine.cdfg.node(op).kind for op in fu[2])
+                others = engine.library.alternatives(spec, kinds)
+                if others:
+                    fu[1] = others[0].name
+                    break
+            else:
+                continue
+            break
+        else:
+            pytest.fail("no frontier unit has an alternative module")
+        tampered = dataclasses.replace(loops_result, _recipes=recipes)
+        with pytest.raises(ExperimentError, match="rebuilds"):
+            verify_frontier(tampered)
 
     def test_tampered_grid_is_detected(self, loops_result):
         # Same job count, different values: indices all resolve, so
@@ -118,3 +189,39 @@ class TestVerifyFrontier:
                                        objectives=("area",))
         with pytest.raises(ExperimentError):
             verify_frontier(tampered)
+
+
+class TestRecipes:
+    @pytest.mark.parametrize("name", ["gcd", "paulin", "histogram"])
+    def test_recipes_rebuild_the_visited_designs(self, name, monkeypatch):
+        # Capture every design the searches offer, in offer order, then
+        # rebuild each local-front point from its (JSON round-tripped)
+        # recipe on a separate engine.
+        visited = []
+        search = SynthesisEngine.run
+
+        def capturing(self, *args, observer, **kwargs):
+            def tap(design, evaluation):
+                visited.append(design)
+                observer(design, evaluation)
+            return search(self, *args, observer=tap, **kwargs)
+
+        monkeypatch.setattr(SynthesisEngine, "run", capturing)
+        engine = engine_for_benchmark(name, n_passes=6, store_dir="")
+        fresh = engine_for_benchmark(name, n_passes=6, store_dir="")
+        checked = 0
+        for job in make_jobs(laxities=(1.0, 2.0)):
+            visited.clear()
+            record = driver._run_job(engine, job, TINY)
+            assert len(record["recipes"]) == len(record["points"])
+            for point, recipe in zip(record["points"], record["recipes"]):
+                original = visited[point["meta"]["order"]]
+                rebuilt = driver.rebuild_design(
+                    fresh, json.loads(json.dumps(recipe)))
+                evaluation = rebuilt.evaluate()
+                assert (evaluation.area, evaluation.power_scaled,
+                        evaluation.enc) == (point["area"], point["power"],
+                                            point["latency"])
+                assert verilog(rebuilt) == verilog(original)
+                checked += 1
+        assert checked >= len(make_jobs(laxities=(1.0, 2.0)))

@@ -2,15 +2,23 @@
 
 The steal pool's contract is that scheduling is invisible: any worker
 count, any steal order, any mid-job worker kill and any checkpoint
-temperature produce the same frontier bytes as a 1-shard in-process run.
+temperature produce the same frontier bytes as an in-process run.
 """
 
 import pytest
 
 from repro.core.search import SearchConfig
 from repro.errors import ExperimentError
-from repro.explore import ExploreJob, explore, job_checkpoint_key
+from repro.benchmarks.registry import get_benchmark
+from repro.explore import (
+    ExploreJob,
+    explore,
+    job_checkpoint_key,
+    make_jobs,
+    verify_frontier,
+)
 from repro.faults import FaultPlan
+from repro.store import cdfg_digest, digest_key, open_store
 
 TINY = SearchConfig(max_depth=2, max_candidates=5, max_iterations=2)
 GRID = dict(laxities=(1.0, 2.0), objectives=("area", "power"))
@@ -121,6 +129,26 @@ class TestCheckpointWarmStart:
         warm = run(steal=4, seeds=(0,), store_dir=store)
         assert warm.warm_hits == warm.summary()["jobs"]
         assert comparable(warm) == comparable(base0)
+
+    def test_old_format_checkpoints_are_not_served(self, tmp_path, base0):
+        # Seed the store the way code before design recipes wrote it:
+        # records without recipes, under the token-less key.
+        store_dir = tmp_path / "store"
+        store = open_store(store_dir)
+        digest = cdfg_digest(get_benchmark("loops").cdfg())
+        for job, stats in zip(make_jobs(seeds=(0,), **GRID), base0.jobs):
+            key = digest_key(("explore-job", digest, 6, 7, job.objective,
+                              job.laxity, job.seed, TINY))
+            points = [{"area": p.area, "power": p.power,
+                       "latency": p.latency, "meta": dict(p.meta)}
+                      for p in base0.front.points
+                      if p.meta["job"] == job.index]
+            store.put_json("explore", key, {"stats": stats, "points": points})
+        cold = run(steal=2, seeds=(0,), store_dir=store_dir)
+        assert cold.warm_hits == 0
+        assert comparable(cold) == comparable(base0)
+        reports = verify_frontier(cold)
+        assert reports and all(r.ok for r in reports)
 
 
 class TestWorkerErrors:
